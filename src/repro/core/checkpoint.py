@@ -41,6 +41,7 @@ from ..exceptions import CheckpointError
 from ..models.model_manager import TrainingStats, _DesignCache
 from ..models.validation import CrossValidationResult, IncrementalFoldAssigner
 from ..scheduler.scheduler import IterationLatency
+from ..storage.table import Table
 from ..types import ClipSpec, TrainedModelInfo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,41 +66,6 @@ def _restore_rng(state: dict) -> np.random.Generator:
 
 def _clips_doc(clips: list[ClipSpec]) -> list[list[float]]:
     return [[clip.vid, clip.start, clip.end] for clip in clips]
-
-
-def _table_to_arrays(table, arrays: dict, prefix: str) -> dict:
-    """Stage one table's columns into the bundle; returns its schema doc."""
-    for name, type_name in table.schema.items():
-        values = table.column(name)
-        if type_name == "str":
-            arrays[prefix + name] = np.asarray([str(v) for v in values], dtype=np.str_)
-        else:
-            arrays[prefix + name] = np.asarray(values)
-    return {
-        "name": table.name,
-        "primary_key": table.primary_key,
-        "schema": dict(table.schema),
-        "row_count": len(table),
-    }
-
-
-def _table_from_arrays(schema_doc: dict, arrays: dict, prefix: str):
-    """Rebuild a table from its bundled columns (inverse of ``_table_to_arrays``)."""
-    from ..storage.table import Table
-
-    table = Table(
-        schema_doc["name"], schema_doc["schema"], primary_key=schema_doc.get("primary_key")
-    )
-    columns = {name: arrays[prefix + name] for name in schema_doc["schema"]}
-    casts = {"int": int, "float": float, "bool": bool, "str": str}
-    for index in range(int(schema_doc["row_count"])):
-        table.insert(
-            {
-                name: casts[type_name](columns[name][index])
-                for name, type_name in schema_doc["schema"].items()
-            }
-        )
-    return table
 
 
 def _clips_from_doc(doc: list[list[float]]) -> list[ClipSpec]:
@@ -292,22 +258,13 @@ def _capture_bandit(session: "ExplorationSession") -> dict:
     }
 
 
-def _capture_features_meta(session: "ExplorationSession") -> dict:
-    store = session.storage.features
-    specs = {
-        fid: [shard._vindex_spec[0], shard._vindex_spec[1]]
-        for fid, shard in store._shards.items()
-    }
-    pending = {fid: [spec[0], spec[1]] for fid, spec in store._pending_index.items()}
-    return {
-        "epochs": {fid: shard.epoch for fid, shard in store._shards.items()},
-        "index_specs": specs,
-        "pending_index": pending,
-    }
-
-
 def capture_state(session: "ExplorationSession", extra_state: dict | None) -> tuple[dict, dict]:
-    """Session state as a JSON document plus a dict of exact binary arrays."""
+    """Session state as a JSON document plus a dict of exact binary arrays.
+
+    This is the complete snapshot payload: the stores stage their own
+    parts (video/label tables, feature shards) next to the session's
+    caches, RNGs, bandit, and scheduler state.
+    """
     if session._iteration_open:
         raise CheckpointError("checkpoint requires a closed iteration (finish_iteration first)")
     arrays: dict[str, np.ndarray] = {}
@@ -341,9 +298,15 @@ def capture_state(session: "ExplorationSession", extra_state: dict | None) -> tu
         },
         "models": _capture_models(session, arrays),
         "registry": _capture_registry(session, arrays),
-        "features": _capture_features_meta(session),
+        "features": None,  # staged below, after the tables (bundle order)
         "extra_state": extra_state,
     }
+    storage = session.storage
+    state["tables"] = {
+        "videos": storage.videos.to_arrays(arrays, "table__videos__"),
+        "labels": storage.labels.to_arrays(arrays, "table__labels__"),
+    }
+    state["features"] = storage.features.to_arrays(arrays, "shard__")
     return state, arrays
 
 
@@ -359,21 +322,6 @@ def write_snapshot_files(
     fsyncs, checksums, and atomically renames the directory afterwards.
     """
     state, arrays = capture_state(session, extra_state)
-    storage = session.storage
-    state["tables"] = {
-        "videos": _table_to_arrays(storage.videos._table, arrays, "table__videos__"),
-        "labels": _table_to_arrays(storage.labels._table, arrays, "table__labels__"),
-    }
-    shards_doc: dict[str, dict] = {}
-    for fid in storage.features.extractors():
-        shard = storage.features._shards[fid]
-        shards_doc[fid] = {"dim": shard.dim, "rows": len(shard)}
-        if len(shard):
-            arrays[f"shard__{fid}__vids"] = shard.vids
-            arrays[f"shard__{fid}__starts"] = shard.starts
-            arrays[f"shard__{fid}__ends"] = shard.ends
-            arrays[f"shard__{fid}__vectors"] = shard.matrix
-    state["features"]["shards"] = shards_doc
     with open(directory / ARRAYS_FILE, "wb") as handle:
         np.savez(handle, **arrays)
     (directory / STATE_FILE).write_text(json.dumps(state))
@@ -518,36 +466,10 @@ def restore_snapshot_files(session: "ExplorationSession", directory: Path) -> di
         arrays = {name: payload[name] for name in payload.files}
 
     storage = session.storage
-    features_meta = state["features"]
-    storage.videos.restore_table(
-        _table_from_arrays(state["tables"]["videos"], arrays, "table__videos__")
-    )
-    storage.labels.restore_table(
-        _table_from_arrays(state["tables"]["labels"], arrays, "table__labels__")
-    )
-    shards: dict[str, tuple | None] = {}
-    dims: dict[str, int] = {}
-    for fid, doc in features_meta["shards"].items():
-        dims[fid] = int(doc["dim"])
-        if doc["rows"]:
-            shards[fid] = (
-                arrays[f"shard__{fid}__vids"],
-                arrays[f"shard__{fid}__starts"],
-                arrays[f"shard__{fid}__ends"],
-                arrays[f"shard__{fid}__vectors"],
-            )
-        else:
-            shards[fid] = None
-    storage.features.restore_columns(
-        shards,
-        dims,
-        epochs={fid: int(epoch) for fid, epoch in features_meta["epochs"].items()},
-        index_specs={
-            fid: (spec[0], spec[1]) for fid, spec in features_meta["index_specs"].items()
-        },
-    )
-    for fid, spec in features_meta["pending_index"].items():
-        storage.features._pending_index[fid] = (spec[0], dict(spec[1]))
+    tables = state["tables"]
+    storage.videos.restore_table(Table.from_arrays(tables["videos"], arrays, "table__videos__"))
+    storage.labels.restore_table(Table.from_arrays(tables["labels"], arrays, "table__labels__"))
+    storage.features.from_arrays(state["features"], arrays, "shard__")
     _restore_registry(session, state["registry"], arrays)
     _restore_models(session, state["models"], arrays)
 

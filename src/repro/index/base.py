@@ -1,4 +1,4 @@
-"""The :class:`VectorIndex` abstract API, backend registry, and persistence.
+"""The :class:`VectorIndex` abstract API and backend registry.
 
 A vector index answers batched k-nearest-neighbour queries over a set of
 ``(n, d)`` float vectors.  The contract shared by every backend:
@@ -10,10 +10,12 @@ A vector index answers batched k-nearest-neighbour queries over a set of
   ascending distance with ties broken toward the smaller index; when fewer
   than ``k`` neighbours are reachable (small index, empty ANN buckets) the row
   is padded with ``distance=inf`` and ``index=-1``;
-* ``save(path)`` / ``VectorIndex.load(path)`` round-trip the index through a
-  single ``.npz`` file, dispatching on the stored backend name;
 * every backend is pure numpy and deterministic under its seeded RNG: the same
   build/add/search sequence always produces the same results.
+
+Indexes are never written to disk: a checkpoint records each feature
+shard's backend spec and the index is rebuilt lazily on the first search
+after a resume.
 
 Backends register themselves with :func:`register_backend`;
 :func:`build_index` is the factory used by configuration-driven callers.
@@ -21,9 +23,7 @@ Backends register themselves with :func:`register_backend`;
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -154,7 +154,7 @@ def pad_hits(distances: np.ndarray, indices: np.ndarray, k: int) -> tuple[np.nda
 class VectorIndex:
     """Abstract batched k-NN index over float vectors."""
 
-    #: Canonical backend name used by the factory and persistence.
+    #: Canonical backend name used by the factory.
     backend: str = "abstract"
 
     def __init__(self, seed: int = 0) -> None:
@@ -182,45 +182,6 @@ class VectorIndex:
     def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(squared_distances, indices)`` of the ``k`` nearest vectors."""
         raise NotImplementedError
-
-    # ----------------------------------------------------------- persistence
-    def _state(self) -> dict[str, np.ndarray]:
-        """Arrays to persist; backend-specific."""
-        raise NotImplementedError
-
-    def _params(self) -> dict[str, Any]:
-        """JSON-serialisable constructor/state parameters to persist."""
-        raise NotImplementedError
-
-    @classmethod
-    def _restore(cls, params: Mapping[str, Any], arrays: Mapping[str, np.ndarray]) -> "VectorIndex":
-        """Rebuild an instance from persisted params and arrays."""
-        raise NotImplementedError
-
-    def save(self, path: str | Path) -> None:
-        """Persist the index to one ``.npz`` file."""
-        meta = json.dumps({"backend": self.backend, "params": self._params()})
-        np.savez(Path(path), __meta__=np.array(meta), **self._state())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "VectorIndex":
-        """Restore any saved index, dispatching on the stored backend name.
-
-        Calling ``load`` on a concrete backend class additionally checks that
-        the file holds that backend.
-        """
-        with np.load(Path(path), allow_pickle=False) as payload:
-            meta = json.loads(str(payload["__meta__"][()]))
-            arrays = {name: payload[name] for name in payload.files if name != "__meta__"}
-        backend = meta.get("backend")
-        impl = _BACKENDS.get(backend)
-        if impl is None:
-            raise VectorIndexError(f"saved index has unknown backend {backend!r}")
-        if cls is not VectorIndex and cls is not impl:
-            raise VectorIndexError(
-                f"saved index is {backend!r}, not {cls.backend!r}"
-            )
-        return impl._restore(meta.get("params", {}), arrays)
 
     # --------------------------------------------------------------- helpers
     def _check_k(self, k: int) -> int:

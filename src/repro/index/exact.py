@@ -9,8 +9,6 @@ for bit-identical assignments.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
-
 import numpy as np
 
 from .base import (
@@ -86,16 +84,3 @@ class ExactIndex(VectorIndex):
                 ids = np.broadcast_to(np.arange(n, dtype=np.int64), block.shape)
                 out_d[lo:hi], out_i[lo:hi] = topk_hits(block, ids, k)
         return pad_hits(out_d, out_i, k)
-
-    # ----------------------------------------------------------- persistence
-    def _state(self) -> dict[str, np.ndarray]:
-        return {"vectors": self._vectors}
-
-    def _params(self) -> dict[str, Any]:
-        return {"seed": self.seed}
-
-    @classmethod
-    def _restore(cls, params: Mapping[str, Any], arrays: Mapping[str, np.ndarray]) -> "ExactIndex":
-        index = cls(seed=int(params.get("seed", 0)))
-        index.build(arrays["vectors"])  # (0, d) payloads keep their dim guard
-        return index

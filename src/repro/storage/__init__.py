@@ -10,6 +10,11 @@ Public entry points:
 * :class:`~repro.storage.durability.CheckpointManager` and friends — the
   durable checkpoint/restore subsystem (write-ahead journal, atomic
   generation snapshots, crash recovery).
+
+There is one on-disk format: the checkpoint snapshot (``state.json`` plus
+``arrays.npz``, see :mod:`repro.core.checkpoint`) next to the journal.  Each
+store stages its own part of it (``to_arrays``) and refills itself in place
+on resume.
 """
 
 from .column import Column, ColumnType
@@ -18,7 +23,6 @@ from .expressions import Expression, col, lit
 from .feature_store import FeatureStore
 from .label_store import LabelStore
 from .model_registry import ModelRegistry
-from .persistence import load_array, load_table, save_array, save_table
 from .storage_manager import StorageManager
 from .table import Table
 from .video_store import VideoStore
@@ -30,10 +34,6 @@ __all__ = [
     "col",
     "lit",
     "Table",
-    "save_table",
-    "load_table",
-    "save_array",
-    "load_array",
     "VideoStore",
     "LabelStore",
     "FeatureStore",

@@ -1,8 +1,8 @@
 """Crash-safe filesystem primitives.
 
 The one rule of durable persistence: never overwrite live data in place.
-Every write here goes to a temporary sibling, is flushed and fsynced, and
-is then atomically renamed over the destination, with the containing
+A snapshot is written into a temporary directory, its files are fsynced,
+and the directory is then atomically renamed into place, with the parent
 directory fsynced so the rename itself survives a power cut.  Each
 boundary crosses a named fault point (``write:<label>``, ``fsync:<label>``,
 ``rename:<label>``, ``dirsync:<label>``) so the crash-injection harness can
@@ -18,15 +18,11 @@ from pathlib import Path
 from .faults import fault_point
 
 __all__ = [
-    "atomic_write_bytes",
-    "atomic_write_text",
     "atomic_replace_dir",
     "fsync_file",
     "fsync_dir",
     "crc32_file",
 ]
-
-_TMP_SUFFIX = ".tmp"
 
 
 def fsync_file(path: Path, label: str) -> None:
@@ -47,31 +43,6 @@ def fsync_dir(directory: Path, label: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
-
-
-def atomic_write_bytes(path: str | Path, data: bytes, label: str | None = None) -> None:
-    """Write ``data`` to ``path`` atomically (temp + fsync + rename + dirsync).
-
-    A crash at any boundary leaves either the previous file intact or the
-    new content fully in place — never a torn file.
-    """
-    path = Path(path)
-    label = label if label is not None else path.name
-    tmp = path.with_name(path.name + _TMP_SUFFIX)
-    fault_point(f"write:{label}")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        fault_point(f"fsync:{label}")
-        os.fsync(handle.fileno())
-    fault_point(f"rename:{label}")
-    os.replace(tmp, path)
-    fsync_dir(path.parent, label)
-
-
-def atomic_write_text(path: str | Path, text: str, label: str | None = None) -> None:
-    """Atomic UTF-8 text variant of :func:`atomic_write_bytes`."""
-    atomic_write_bytes(path, text.encode("utf-8"), label=label)
 
 
 def atomic_replace_dir(tmp_dir: Path, final_dir: Path, label: str) -> None:

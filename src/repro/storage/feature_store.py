@@ -19,20 +19,19 @@ Lookup paths:
 * similarity search over the vector *contents* goes through a per-shard
   ``repro.index`` vector index (``attach_index``/``search``) that, like the
   sorted-midpoint index, is built lazily and kept in sync with writes —
-  appended rows are folded in incrementally on the next search, and loads
-  drop the index entirely.
+  appended rows are folded in incrementally on the next search, and a
+  restore drops the index entirely.
 
-Persistence writes one ``.npz`` per extractor straight from the columnar
-arrays and restores them without row-by-row re-insertion.  Empty shards are
-preserved across a save/load roundtrip via the manifest.
+Persistence is the checkpoint snapshot's: :meth:`FeatureStore.to_arrays`
+stages every shard's columns into the snapshot's ``arrays.npz`` bundle and
+returns the shard metadata (dims, row counts, epochs, index specs) for its
+``state.json``; :meth:`FeatureStore.from_arrays` adopts the columns back
+without row-by-row re-insertion.  Empty shards survive the round trip.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import zipfile
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,6 +47,8 @@ __all__ = ["FeatureStore"]
 logger = logging.getLogger(__name__)
 
 _INITIAL_CAPACITY = 16
+#: Shard columns staged into a snapshot bundle, in staging order.
+_SNAPSHOT_COLUMNS = ("vids", "starts", "ends", "vectors")
 
 
 def _batched_bisect_left(values: np.ndarray, targets: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -103,7 +104,7 @@ class _ExtractorShard:
         #: shared by every nearest lookup; invalidated by writes
         self._gsort: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         #: lazily built vector index over the matrix rows; appended rows are
-        #: folded in incrementally on the next search, loads drop it
+        #: folded in incrementally on the next search, restores drop it
         self._vindex: VectorIndex | None = None
         self._vindex_spec: tuple[str, dict] = ("exact", {})
         self._vindex_rows = 0
@@ -248,7 +249,7 @@ class _ExtractorShard:
         ends: np.ndarray,
         vectors: np.ndarray,
     ) -> None:
-        """Take ownership of pre-built columns (used by :meth:`FeatureStore.load`)."""
+        """Take ownership of pre-built columns (used by :meth:`FeatureStore.from_arrays`)."""
         vids = np.ascontiguousarray(vids, dtype=np.int64)
         starts = np.ascontiguousarray(starts, dtype=np.float64)
         ends = np.ascontiguousarray(ends, dtype=np.float64)
@@ -478,7 +479,7 @@ class FeatureStore:
 
     # ------------------------------------------------------------------- reads
     def extractors(self) -> list[str]:
-        """Extractor names with a registered shard (possibly empty after load)."""
+        """Extractor names with a registered shard (possibly empty after a restore)."""
         return list(self._shards)
 
     def count(self, fid: str) -> int:
@@ -490,7 +491,7 @@ class FeatureStore:
         """Write counter for ``fid``'s shard (0 while no shard exists).
 
         The epoch increments on every content change (``add``, ``add_batch``
-        with at least one fresh row, adopted columns on load) and never on
+        with at least one fresh row, adopted columns on restore) and never on
         reads, so ``epoch(fid)`` equality between two moments guarantees the
         shard's contents — and therefore every clip-to-row resolution — are
         unchanged.  Downstream caches key on it for invalidation.
@@ -689,9 +690,9 @@ class FeatureStore:
 
         May be called before any vector is stored: the spec is held aside and
         applied when ``fid``'s shard is first written, so a configuration call
-        never fabricates an extractor in :meth:`extractors` or the persistence
-        manifest.  Re-attaching the same spec is a no-op, so callers can
-        attach unconditionally.
+        never fabricates an extractor in :meth:`extractors` or a snapshot.
+        Re-attaching the same spec is a no-op, so callers can attach
+        unconditionally.
         """
         shard = self._shards.get(fid)
         if shard is not None:
@@ -763,125 +764,51 @@ class FeatureStore:
             raise MissingFeatureError(f"no features stored for extractor {fid!r}")
         return shard
 
-    # ------------------------------------------------------------- persistence
-    def save(self, directory: str | Path) -> None:
-        """Persist one ``.npz`` file per extractor under ``directory``.
+    # ---------------------------------------------------------------- snapshot
+    def to_arrays(self, arrays: dict[str, np.ndarray], prefix: str) -> dict:
+        """Stage every shard into a snapshot bundle; returns its JSON document.
 
-        Arrays are written straight from the columnar storage; empty shards
-        are recorded in the manifest (with their dimensionality when known)
-        so a roundtrip preserves :meth:`extractors` exactly.
+        Non-empty shards stage their ``vids``/``starts``/``ends``/``vectors``
+        columns under ``{prefix}{fid}__{column}``.  The document carries what
+        the arrays cannot: per-shard epochs, dims and row counts (so empty
+        shards survive), the attached index specs, and specs attached before
+        their extractor had a shard.  Built indexes are not staged; the next
+        search after :meth:`from_arrays` rebuilds them.
         """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        manifest = {
-            "extractors": list(self._shards),
-            "dims": {fid: shard.dim for fid, shard in self._shards.items()},
-        }
-        (directory / "features.manifest.json").write_text(json.dumps(manifest, indent=2))
+        shards: dict[str, dict] = {}
         for fid, shard in self._shards.items():
-            if len(shard) == 0:
-                continue
-            np.savez(
-                directory / f"features_{fid}.npz",
-                vids=shard.vids,
-                starts=shard.starts,
-                ends=shard.ends,
-                vectors=shard.matrix,
-            )
+            shards[fid] = {"dim": shard.dim, "rows": len(shard)}
+            if len(shard):
+                columns = (shard.vids, shard.starts, shard.ends, shard.matrix)
+                for name, column in zip(_SNAPSHOT_COLUMNS, columns):
+                    arrays[f"{prefix}{fid}__{name}"] = column
+        return {
+            "epochs": {fid: shard.epoch for fid, shard in self._shards.items()},
+            "index_specs": {fid: list(shard._vindex_spec) for fid, shard in self._shards.items()},
+            "pending_index": {fid: list(spec) for fid, spec in self._pending_index.items()},
+            "shards": shards,
+        }
 
-    @classmethod
-    def load(cls, directory: str | Path) -> "FeatureStore":
-        """Restore a store previously written by :meth:`save`.
+    def from_arrays(self, doc: dict, arrays: dict[str, np.ndarray], prefix: str) -> None:
+        """Replace this store's contents in place from :meth:`to_arrays` output.
 
-        Every extractor listed in the manifest is restored — including empty
-        shards, whose ``.npz`` payload was never written — and non-empty
-        payloads are adopted column-wise without row-by-row re-insertion.
-
-        Raises:
-            StorageError: when the manifest is unparsable, a payload archive
-                is truncated/corrupt, a column is missing from a payload, or
-                the columns of one extractor disagree on row count.
-        """
-        directory = Path(directory)
-        manifest_path = directory / "features.manifest.json"
-        store = cls()
-        if not manifest_path.exists():
-            return store
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise StorageError(f"feature manifest {manifest_path} is unreadable: {exc}") from exc
-        dims = manifest.get("dims", {})
-        for fid in manifest.get("extractors", []):
-            dim = dims.get(fid)
-            shard = _ExtractorShard(fid, dim=None if dim in (None, -1) else int(dim))
-            store._shards[fid] = shard
-            payload_path = directory / f"features_{fid}.npz"
-            if not payload_path.exists():
-                continue
-            try:
-                with np.load(payload_path, allow_pickle=False) as payload:
-                    missing = [
-                        name
-                        for name in ("vids", "starts", "ends", "vectors")
-                        if name not in payload.files
-                    ]
-                    if missing:
-                        raise StorageError(
-                            f"feature payload {payload_path} is missing columns {missing}"
-                        )
-                    columns = (
-                        payload["vids"], payload["starts"], payload["ends"], payload["vectors"]
-                    )
-            except (OSError, ValueError, zipfile.BadZipFile, EOFError) as exc:
-                raise StorageError(
-                    f"feature payload {payload_path} is truncated or corrupt: {exc}"
-                ) from exc
-            rows = {len(column) for column in columns}
-            if len(rows) != 1:
-                raise StorageError(
-                    f"feature payload {payload_path} columns disagree on row count: "
-                    f"{sorted(rows)}"
-                )
-            shard.adopt_columns(*columns)
-        return store
-
-    def restore_columns(
-        self,
-        shards: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None],
-        dims: dict[str, int],
-        epochs: dict[str, int] | None = None,
-        index_specs: dict[str, tuple[str, dict]] | None = None,
-    ) -> None:
-        """Replace this store's contents in place from recovered columns.
-
-        ``shards`` maps each extractor to its ``(vids, starts, ends,
-        vectors)`` columns, or None for an empty shard; ``dims`` carries the
-        dimensionality of empty shards.  Used by snapshot recovery, which
-        bundles every shard's columns into one archive.
+        Columns are adopted without row-by-row re-insertion, then the staged
+        epochs are forced back so epoch-keyed caches stay valid.  The store
+        object is refilled rather than replaced (managers hold references to
+        it); the journal sink is left untouched and not invoked.
         """
         self._shards = {}
-        for fid, columns in shards.items():
-            dim = dims.get(fid)
-            shard = _ExtractorShard(fid, dim=None if dim in (None, -1) else int(dim))
-            self._shards[fid] = shard
-            if columns is not None:
-                shard.adopt_columns(*columns)
-        self._apply_restored_meta(epochs, index_specs)
-
-    def _apply_restored_meta(
-        self,
-        epochs: dict[str, int] | None,
-        index_specs: dict[str, tuple[str, dict]] | None,
-    ) -> None:
-        self._pending_index = {}
-        if index_specs:
-            for fid, (backend, params) in index_specs.items():
-                shard = self._shards.get(fid)
-                if shard is not None:
-                    shard.attach_index(backend, **params)
-                else:
-                    self._pending_index[fid] = (backend, dict(params))
-        if epochs:
-            for fid, epoch in epochs.items():
-                self.restore_epoch(fid, epoch)
+        for fid, entry in doc["shards"].items():
+            dim = int(entry["dim"])
+            shard = self._shards[fid] = _ExtractorShard(fid, dim=None if dim == -1 else dim)
+            if entry["rows"]:
+                shard.adopt_columns(
+                    *(arrays[f"{prefix}{fid}__{name}"] for name in _SNAPSHOT_COLUMNS)
+                )
+        for fid, (backend, params) in doc["index_specs"].items():
+            self._shard(fid).attach_index(backend, **params)
+        for fid, epoch in doc["epochs"].items():
+            self.restore_epoch(fid, epoch)
+        self._pending_index = {
+            fid: (backend, dict(params)) for fid, (backend, params) in doc["pending_index"].items()
+        }

@@ -9,12 +9,10 @@ labeled clips are not sampled again).
 from __future__ import annotations
 
 from collections import Counter
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..types import ClipSpec, Label
 from .expressions import col
-from .persistence import load_table, save_table
 from .table import Table
 
 __all__ = ["LabelStore"]
@@ -161,29 +159,18 @@ class LabelStore:
             return 0.0
         return max(counts.values()) / total
 
-    # ------------------------------------------------------------- persistence
-    def save(self, directory: str | Path) -> None:
-        """Persist the label table under ``directory``."""
-        save_table(self._table, directory)
-
-    @classmethod
-    def load(cls, directory: str | Path) -> "LabelStore":
-        """Restore a store previously written by :meth:`save`."""
-        store = cls()
-        store.restore_from(directory)
-        return store
-
-    def restore_from(self, directory: str | Path) -> None:
-        """Replace this store's contents in place from a saved table.
-
-        Used by checkpoint recovery, which must refill the *existing* store
-        object (managers hold references to it) rather than swap in a new
-        one.  The journal sink is left untouched and not invoked.
-        """
-        self.restore_table(load_table(self.TABLE_NAME, directory))
+    # ---------------------------------------------------------------- snapshot
+    def to_arrays(self, arrays: dict, prefix: str) -> dict:
+        """Stage the label table into a snapshot bundle (see :meth:`Table.to_arrays`)."""
+        return self._table.to_arrays(arrays, prefix)
 
     def restore_table(self, table: Table) -> None:
-        """Adopt a rebuilt label table in place (checkpoint recovery)."""
+        """Adopt a rebuilt label table in place (checkpoint recovery).
+
+        Managers hold references to this store, so recovery refills it
+        rather than swapping in a new one; the journal sink is left
+        untouched and not invoked.
+        """
         self._table = table
         ids = self._table.column("label_id")
         self._next_id = int(max(ids)) + 1 if len(ids) else 0

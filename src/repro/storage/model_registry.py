@@ -1,21 +1,21 @@
 """Model registry.
 
-Stores trained model checkpoints (the paper saves PyTorch checkpoints to disk;
-here models are in-memory objects with optional array persistence) together
-with the metadata the Model Manager needs to serve the "latest model per
-feature extractor" while a newer one is still training.
+Stores trained models (the paper saves PyTorch checkpoints to disk; here
+models are in-memory objects) together with the metadata the Model Manager
+needs to serve the "latest model per feature extractor" while a newer one is
+still training.  Models reach disk only through :func:`model_document`: every
+registration is journaled with it, and checkpoint snapshots stage the serving
+model of each feature through it.
 """
 
 from __future__ import annotations
 
 import threading
-from pathlib import Path
 from typing import Any
 
 from ..exceptions import ModelError, StorageError
 from ..types import TrainedModelInfo
 from .durability.codec import encode_array
-from .persistence import save_array
 
 __all__ = ["ModelRegistry"]
 
@@ -180,28 +180,3 @@ class ModelRegistry:
     def features_with_models(self) -> list[str]:
         """Feature names that have at least one trained model."""
         return list(self._latest_by_feature)
-
-    # ------------------------------------------------------------- persistence
-    def save_checkpoint(self, model_id: int, directory: str | Path) -> Path:
-        """Persist a model's weight arrays as a checkpoint file.
-
-        The model object must expose ``get_parameters() -> np.ndarray``;
-        models without parameters cannot be checkpointed.
-        """
-        model, info = self.get(model_id)
-        if not hasattr(model, "get_parameters"):
-            raise ModelError(f"model {model_id} does not support checkpointing")
-        directory = Path(directory)
-        path = directory / f"model_{info.feature_name}_v{info.version}.npy"
-        save_array(
-            model.get_parameters(),
-            path,
-            metadata={
-                "model_id": info.model_id,
-                "feature_name": info.feature_name,
-                "version": info.version,
-                "classes": list(info.classes),
-                "num_labels": info.num_labels,
-            },
-        )
-        return path

@@ -2,13 +2,12 @@
 
 The paper's Storage Manager "stores and retrieves all persisted data, which
 includes video metadata, labels, features, and models".  This facade bundles
-the four concrete stores and exposes save/load of an entire workspace
-directory so exploration sessions can be resumed.
+the four concrete stores and routes their writes into one write-ahead
+journal.  Sessions persist through the checkpoint snapshot
+(:mod:`repro.core.checkpoint`), in which each store stages its own part.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from .feature_store import FeatureStore
 from .label_store import LabelStore
@@ -73,28 +72,3 @@ class StorageManager:
             ),
             "models": len(self.models),
         }
-
-    # ------------------------------------------------------------- persistence
-    def save(self, directory: str | Path) -> None:
-        """Persist video metadata, labels, and feature vectors under ``directory``.
-
-        Model objects are in-memory only (matching the prototype, which can
-        retrain them cheaply from stored labels and features); checkpoints can
-        be written explicitly through :class:`ModelRegistry.save_checkpoint`.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        self.videos.save(directory)
-        self.labels.save(directory)
-        self.features.save(directory / "features")
-
-    @classmethod
-    def load(cls, directory: str | Path) -> "StorageManager":
-        """Restore a workspace previously written by :meth:`save`."""
-        directory = Path(directory)
-        return cls(
-            videos=VideoStore.load(directory),
-            labels=LabelStore.load(directory),
-            features=FeatureStore.load(directory / "features"),
-            models=ModelRegistry(),
-        )

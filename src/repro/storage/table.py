@@ -31,7 +31,7 @@ class Table:
         """Create an empty table.
 
         Args:
-            name: Table name used by catalogs and persistence.
+            name: Table name used by catalogs and snapshots.
             schema: Ordered mapping of column name to logical type
                 ("int", "float", "bool", "str").
             primary_key: Optional column whose values must be unique.
@@ -219,6 +219,48 @@ class Table:
     def to_records(self) -> list[dict[str, Any]]:
         """Materialise the table as a list of row dicts."""
         return list(self.rows())
+
+    # ---------------------------------------------------------------- snapshot
+    def to_arrays(self, arrays: dict[str, np.ndarray], prefix: str) -> dict[str, Any]:
+        """Stage every column into ``arrays`` under ``prefix + name``.
+
+        Returns the JSON schema document that :meth:`from_arrays` needs to
+        rebuild the table from those arrays.
+        """
+        for name, column in self._columns.items():
+            values = column.values()
+            if column.type_name == "str":
+                arrays[prefix + name] = np.asarray([str(v) for v in values], dtype=np.str_)
+            else:
+                arrays[prefix + name] = np.asarray(values)
+        return {
+            "name": self.name,
+            "primary_key": self.primary_key,
+            "schema": self.schema,
+            "row_count": len(self),
+        }
+
+    @classmethod
+    def from_arrays(
+        cls, doc: Mapping[str, Any], arrays: Mapping[str, np.ndarray], prefix: str
+    ) -> "Table":
+        """Rebuild a table staged by :meth:`to_arrays`.
+
+        Rows go back through :meth:`insert`, so the primary-key index is
+        rebuilt and still enforced.
+        """
+        schema = doc["schema"]
+        table = cls(doc["name"], schema, primary_key=doc.get("primary_key"))
+        columns = {name: arrays[prefix + name] for name in schema}
+        casts = {"int": int, "float": float, "bool": bool, "str": str}
+        for index in range(int(doc["row_count"])):
+            table.insert(
+                {
+                    name: casts[type_name](columns[name][index])
+                    for name, type_name in schema.items()
+                }
+            )
+        return table
 
     # ---------------------------------------------------------------- internal
     def _empty_copy(self) -> "Table":

@@ -2,19 +2,17 @@
 
 Tracks every video registered through ``AddVideo`` (or bulk loading) and hands
 out stable integer video ids.  Backed by a column-store table so metadata can
-be filtered with predicate expressions and persisted to disk.
+be filtered with predicate expressions and captured in checkpoint snapshots.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..exceptions import UnknownVideoError
 from ..types import VideoRecord
-from .persistence import load_table, save_table
 from .table import Table
 
 __all__ = ["VideoStore"]
@@ -138,28 +136,18 @@ class VideoStore:
         chosen = rng.choice(len(available), size=count, replace=False)
         return [available[int(i)] for i in chosen]
 
-    # ------------------------------------------------------------- persistence
-    def save(self, directory: str | Path) -> None:
-        """Persist the metadata table under ``directory``."""
-        save_table(self._table, directory)
-
-    @classmethod
-    def load(cls, directory: str | Path) -> "VideoStore":
-        """Restore a store previously written by :meth:`save`."""
-        store = cls()
-        store.restore_from(directory)
-        return store
-
-    def restore_from(self, directory: str | Path) -> None:
-        """Replace this store's contents in place from a saved table.
-
-        Checkpoint recovery refills the existing store object (managers hold
-        references to it); the journal sink is left untouched and not invoked.
-        """
-        self.restore_table(load_table(self.TABLE_NAME, directory))
+    # ---------------------------------------------------------------- snapshot
+    def to_arrays(self, arrays: dict, prefix: str) -> dict:
+        """Stage the video table into a snapshot bundle (see :meth:`Table.to_arrays`)."""
+        return self._table.to_arrays(arrays, prefix)
 
     def restore_table(self, table: Table) -> None:
-        """Adopt a rebuilt video table in place (checkpoint recovery)."""
+        """Adopt a rebuilt video table in place (checkpoint recovery).
+
+        Managers hold references to this store, so recovery refills it
+        rather than swapping in a new one; the journal sink is left
+        untouched and not invoked.
+        """
         self._table = table
         vids = self._table.column("vid")
         self._next_vid = int(np.max(vids)) + 1 if len(vids) else 0

@@ -6,7 +6,6 @@ from repro.config import ALMConfig, SchedulerConfig, VocalExploreConfig
 from repro.core.api import VOCALExplore
 from repro.core.oracle import NoisyOracleUser, OracleUser
 from repro.experiments.evaluation import ModelEvaluator
-from repro.storage.storage_manager import StorageManager
 
 
 def run_session(vocal, oracle, steps, batch_size=5):
@@ -86,22 +85,6 @@ class TestFullExplorationLoop:
                 segment.vid, segment.start, segment.end, oracle.label_for(segment.clip)
             )
         vocal.finish_iteration()
-
-
-class TestWorkspacePersistence:
-    def test_session_state_survives_save_and_load(self, tiny_dataset, tmp_path):
-        vocal = VOCALExplore.for_dataset(tiny_dataset, config=VocalExploreConfig(seed=0))
-        oracle = OracleUser(tiny_dataset.train_corpus)
-        run_session(vocal, oracle, steps=3)
-        storage = vocal.session.storage
-        storage.save(tmp_path)
-
-        restored = StorageManager.load(tmp_path)
-        assert len(restored.videos) == len(storage.videos)
-        assert len(restored.labels) == len(storage.labels)
-        assert restored.labels.class_counts() == storage.labels.class_counts()
-        for fid in storage.features.extractors():
-            assert restored.features.count(fid) == storage.features.count(fid)
 
 
 class TestSerialVsOptimizedQuality:

@@ -9,6 +9,8 @@ scripted-workload retry adapters.  The network-level fault matrix lives in
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.config import ServingConfig
@@ -29,6 +31,7 @@ from repro.serving import (
     SessionManager,
     session_fingerprint,
 )
+from repro.serving import server as server_module
 
 
 class FakeClock:
@@ -197,8 +200,31 @@ class TestSupervisor:
         assert manager.stats()["rollbacks"] == 1
 
 
+def expiring_deadlines(reads_inside_budget: int):
+    """``Deadline`` stand-in whose clock jumps past the budget after N reads.
+
+    The first read starts the budget, the next ``reads_inside_budget - 1``
+    reads stay inside it, and every later read is past it.  Expiry then
+    depends only on how many checks the server makes, never on host speed.
+    """
+
+    def make(budget_s: float, request_class: str = "request") -> Deadline:
+        reads = itertools.count()
+
+        def clock() -> float:
+            return budget_s if next(reads) >= reads_inside_budget else 0.0
+
+        return Deadline(budget_s, request_class=request_class, clock=clock)
+
+    return make
+
+
 class TestServerDeadlines:
-    def test_expired_deadline_fails_fast_and_typed_over_the_wire(self, factory):
+    def test_expired_deadline_fails_fast_and_typed_over_the_wire(
+        self, factory, monkeypatch
+    ):
+        # Expired by the pre-pin check: the session is never touched.
+        monkeypatch.setattr(server_module, "Deadline", expiring_deadlines(1))
         manager = SessionManager(factory, max_resident=2)
         thread = ServerThread(
             manager, ServingConfig(explore_deadline_s=1e-4, worker_threads=2)
@@ -213,6 +239,33 @@ class TestServerDeadlines:
                 stats = client.stats()
                 assert stats["manager"]["quarantines"] == 0
                 assert stats["slo"]["classes"]["explore"]["outcomes"]["deadline"] >= 1
+                ack = client.label(
+                    "alice", [(0, 0.0, 1.0, factory.dataset.class_names[0])]
+                )
+                assert ack["durable"] is True
+        finally:
+            thread.stop()
+
+    def test_deadline_mid_mutation_rolls_back_over_the_wire(self, factory, monkeypatch):
+        # Inside the budget at the pre-pin check, past it at the first
+        # dispatch boundary inside explore, after the iteration has opened.
+        monkeypatch.setattr(server_module, "Deadline", expiring_deadlines(2))
+        manager = SessionManager(factory, max_resident=2)
+        thread = ServerThread(
+            manager, ServingConfig(explore_deadline_s=1e-4, worker_threads=2)
+        )
+        host, port = thread.start()
+        try:
+            with ServingClient(host, port) as client:
+                before = client.open("alice")
+                with pytest.raises(DeadlineExceededError, match="explore"):
+                    client.explore("alice", batch_size=2)
+                stats = client.stats()
+                assert stats["manager"]["quarantines"] == 1
+                assert stats["manager"]["rollbacks"] == 1
+                assert stats["slo"]["classes"]["explore"]["outcomes"]["deadline"] == 1
+                # Rolled back to the last durable state.
+                assert client.open("alice") == before
                 ack = client.label(
                     "alice", [(0, 0.0, 1.0, factory.dataset.class_names[0])]
                 )

@@ -143,62 +143,87 @@ class TestMatrixAccess:
         np.testing.assert_allclose(vectors[1], np.full(8, 2.0))
 
 
-class TestFeatureStorePersistence:
-    def test_save_and_load_roundtrip(self, tmp_path):
+def snapshot_roundtrip(store, prefix="shard__"):
+    """Stage ``store`` into a snapshot bundle and refill a fresh store from it."""
+    arrays = {}
+    doc = store.to_arrays(arrays, prefix)
+    restored = FeatureStore()
+    restored.from_arrays(doc, arrays, prefix)
+    return restored
+
+
+class TestFeatureStoreSnapshot:
+    def test_roundtrip(self):
         store = FeatureStore()
         store.add(feature(fid="r3d", vid=0, value=1.5))
         store.add(feature(fid="clip", vid=1, start=2.0, end=3.0, value=-1.0, dim=4))
-        store.save(tmp_path)
-        loaded = FeatureStore.load(tmp_path)
-        assert set(loaded.extractors()) == {"r3d", "clip"}
+        loaded = snapshot_roundtrip(store)
+        assert loaded.extractors() == ["r3d", "clip"]
         np.testing.assert_allclose(
             loaded.get("clip", ClipSpec(1, 2.0, 3.0)), np.full(4, -1.0)
         )
 
-    def test_load_missing_directory_gives_empty_store(self, tmp_path):
-        loaded = FeatureStore.load(tmp_path / "nothing")
-        assert loaded.extractors() == []
-
-    def test_roundtrip_preserves_extractor_with_missing_payload(self, tmp_path):
-        """A manifest entry whose .npz payload is gone must not be dropped."""
+    def test_stages_columns_of_non_empty_shards_only(self):
         store = FeatureStore()
         store.add(feature(fid="r3d", vid=0))
-        store.add(feature(fid="clip", vid=1, dim=4))
-        store.save(tmp_path)
-        (tmp_path / "features_clip.npz").unlink()
+        arrays = {}
+        doc = store.to_arrays(arrays, "shard__")
+        assert list(arrays) == [
+            "shard__r3d__vids", "shard__r3d__starts", "shard__r3d__ends", "shard__r3d__vectors"
+        ]
+        assert doc["shards"] == {"r3d": {"dim": 8, "rows": 1}}
 
-        loaded = FeatureStore.load(tmp_path)
-        assert set(loaded.extractors()) == {"r3d", "clip"}
-        assert loaded.count("clip") == 0
-        # Dimensionality survives via the manifest, so empty reads are shaped.
-        assert loaded.dim("clip") == 4
-        assert loaded.matrix("clip", []).shape == (0, 4)
-        clips, matrix = loaded.all_vectors("clip")
+    def test_metadata_roundtrips_with_empty_shard_and_pending_spec(self):
+        source = FeatureStore()
+        source.add(feature(fid="r3d", vid=0))
+        source.add(feature(fid="clip", vid=1, dim=4))
+        arrays = {}
+        doc = source.to_arrays(arrays, "shard__")
+        doc["shards"]["clip"]["rows"] = 0  # "clip" comes back empty, dim known
+        store = FeatureStore()
+        store.from_arrays(doc, arrays, "shard__")
+        store.restore_epoch("r3d", 7)
+        store.attach_index("r3d", "ivf-flat", nlist=2)
+        store.attach_index("later", "lsh", seed=3)  # pending: no shard yet
+        assert store.count("clip") == 0
+
+        restored = snapshot_roundtrip(store)
+        fids = ["r3d", "clip", "later", "unknown"]
+        assert restored.extractors() == store.extractors() == ["r3d", "clip"]
+        for fid in fids:
+            assert restored.dim(fid) == store.dim(fid)
+            assert restored.epoch(fid) == store.epoch(fid)
+            assert restored.index_backend(fid) == store.index_backend(fid)
+        assert restored.dim("clip") == 4
+        assert restored.epoch("r3d") == 7
+        assert restored.index_backend("later") == "lsh"
+        # Dimensionality survives, so empty reads are shaped.
+        assert restored.matrix("clip", []).shape == (0, 4)
+        clips, matrix = restored.all_vectors("clip")
         assert clips == [] and matrix.shape == (0, 4)
+        # The pending spec still applies once its shard appears.
+        restored.add(feature(fid="later", vid=0))
+        assert restored.index_backend("later") == "lsh"
 
-    def test_roundtrip_of_empty_shard_is_stable(self, tmp_path):
-        store = FeatureStore()
-        store.add(feature(fid="r3d", vid=0))
-        store.save(tmp_path)
-        (tmp_path / "features_r3d.npz").unlink()
-        once = FeatureStore.load(tmp_path)
-
-        second_dir = tmp_path / "again"
-        once.save(second_dir)
-        twice = FeatureStore.load(second_dir)
-        assert twice.extractors() == once.extractors() == ["r3d"]
-        assert twice.count("r3d") == 0
-
-    def test_load_avoids_row_reinsertion_and_preserves_order(self, tmp_path):
+    def test_restore_avoids_row_reinsertion_and_preserves_order(self):
         store = FeatureStore()
         for vid in (3, 1, 2):
             store.add(feature(vid=vid, value=float(vid)))
-        store.save(tmp_path)
-        loaded = FeatureStore.load(tmp_path)
+        loaded = snapshot_roundtrip(store)
         assert loaded.clips_for("r3d") == store.clips_for("r3d")
         vids, __, __, vectors = loaded.columns("r3d")
         np.testing.assert_array_equal(vids, [3, 1, 2])
         np.testing.assert_allclose(vectors[:, 0], [3.0, 1.0, 2.0])
+
+    def test_restore_refills_in_place(self):
+        store = FeatureStore()
+        store.add(feature(fid="old", vid=0))
+        source = FeatureStore()
+        source.add(feature(fid="r3d", vid=5))
+        arrays = {}
+        store.from_arrays(source.to_arrays(arrays, "p__"), arrays, "p__")
+        assert store.extractors() == ["r3d"]
+        assert store.clips_for("r3d") == [ClipSpec(5, 0.0, 1.0)]
 
 
 class TestEpoch:

@@ -79,14 +79,13 @@ class TestAttachIndex:
         __, rows = store.search("r3d", store.columns("r3d")[3][4], k=1)
         assert rows[0, 0] == 4
 
-    def test_attach_does_not_fabricate_extractor(self, tmp_path):
+    def test_attach_does_not_fabricate_extractor(self):
         # A config probe with an unknown fid must not create a phantom shard
-        # that would leak into extractors() and the persistence manifest.
+        # that would leak into extractors() and the snapshot.
         store, __ = filled_store()
         store.attach_index("typo_extractor", "lsh")
         assert store.extractors() == ["r3d"]
-        store.save(tmp_path)
-        assert FeatureStore.load(tmp_path).extractors() == ["r3d"]
+        assert list(store.to_arrays({}, "shard__")["shards"]) == ["r3d"]
 
     def test_reattach_same_spec_keeps_built_index(self):
         store, vectors = filled_store()
@@ -137,11 +136,15 @@ class TestWriteInvalidation:
             assert np.array_equal(runs[0][1], runs[1][1])
             assert np.array_equal(runs[0][0], runs[1][0])
 
-    def test_load_drops_index_and_rebuilds(self, tmp_path):
+    def test_restore_drops_index_and_rebuilds(self):
         store, vectors = filled_store(n=30)
+        store.attach_index("r3d", "ivf-flat", nlist=4)
         store.search("r3d", vectors[0], k=1)
-        store.save(tmp_path)
-        restored = FeatureStore.load(tmp_path)
+        arrays = {}
+        doc = store.to_arrays(arrays, "shard__")
+        restored = FeatureStore()
+        restored.from_arrays(doc, arrays, "shard__")
         assert restored._shards["r3d"]._vindex is None
+        assert restored.index_backend("r3d") == "ivf-flat"
         __, rows = restored.search("r3d", vectors[11], k=1)
         assert rows[0, 0] == 11

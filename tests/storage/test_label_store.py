@@ -3,11 +3,21 @@
 import pytest
 
 from repro.storage.label_store import LabelStore
+from repro.storage.table import Table
 from repro.types import ClipSpec, Label
 
 
 def label(vid, start=0.0, end=1.0, name="walk"):
     return Label(vid=vid, start=start, end=end, label=name)
+
+
+def snapshot_roundtrip(store):
+    """Stage ``store`` into a snapshot bundle and restore a fresh store from it."""
+    arrays = {}
+    doc = store.to_arrays(arrays, "table__labels__")
+    restored = LabelStore()
+    restored.restore_table(Table.from_arrays(doc, arrays, "table__labels__"))
+    return restored
 
 
 class TestLabelStore:
@@ -86,15 +96,15 @@ class TestLabelStore:
             store.add(label(0, name=name))
         assert store.diversity_smax() == pytest.approx(0.8)
 
-    def test_save_and_load_roundtrip(self, tmp_path):
+    def test_snapshot_roundtrip(self):
         store = LabelStore()
         store.add(label(0, 1.0, 2.0, "walk"))
         store.add(label(3, 0.0, 1.0, "eat"))
-        store.save(tmp_path)
-        loaded = LabelStore.load(tmp_path)
+        loaded = snapshot_roundtrip(store)
         assert len(loaded) == 2
+        assert loaded.all() == store.all()
         assert loaded.class_counts() == {"walk": 1, "eat": 1}
-        # New ids continue after the loaded maximum.
+        # New ids continue after the restored maximum.
         assert loaded.add(label(9)) == 2
 
 
@@ -129,11 +139,10 @@ class TestRevision:
         store.add_many([label(0), label(1), label(2)])
         assert store.since(0) == store.all()
 
-    def test_load_restores_revision(self, tmp_path):
+    def test_restore_restores_revision(self):
         store = LabelStore()
         store.add_many([label(0), label(1)])
-        store.save(tmp_path)
-        loaded = LabelStore.load(tmp_path)
+        loaded = snapshot_roundtrip(store)
         assert loaded.revision == 2
         loaded.add(label(2))
         assert loaded.revision == 3

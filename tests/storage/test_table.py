@@ -1,5 +1,8 @@
 """Tests for the column-store table."""
 
+import io
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -192,6 +195,76 @@ class TestAggregation:
         records = table.to_records()
         assert len(records) == 2
         assert records[0]["vid"] == 0
+
+
+def through_npz(arrays):
+    """Round-trip staged arrays through the snapshot's ``.npz`` encoding."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    buffer.seek(0)
+    with np.load(buffer, allow_pickle=False) as payload:
+        return {name: payload[name] for name in payload.files}
+
+
+def snapshot_roundtrip(table, prefix="table__videos__"):
+    arrays = {}
+    doc = table.to_arrays(arrays, prefix)
+    return Table.from_arrays(doc, through_npz(arrays), prefix)
+
+
+class TestTableSnapshotCodec:
+    def test_roundtrip_preserves_rows_and_schema(self):
+        table = make_table(
+            [row(0, 10.5, "walk", True), row(7, 3.25, "eat", False), row(3, 0.0, "", True)]
+        )
+        restored = snapshot_roundtrip(table)
+        assert restored.name == "videos"
+        assert restored.schema == SCHEMA
+        assert restored.primary_key == "vid"
+        assert restored.to_records() == table.to_records()
+        for record in restored.to_records():
+            assert type(record["vid"]) is int
+            assert type(record["duration"]) is float
+            assert type(record["label"]) is str
+            assert type(record["active"]) is bool
+
+    def test_stages_one_array_per_column_under_prefix(self):
+        arrays = {}
+        doc = make_table([row(0), row(1)]).to_arrays(arrays, "t__")
+        assert list(arrays) == ["t__vid", "t__duration", "t__label", "t__active"]
+        assert doc == {
+            "name": "videos",
+            "primary_key": "vid",
+            "schema": SCHEMA,
+            "row_count": 2,
+        }
+
+    def test_roundtrip_empty_table(self):
+        table = Table("empty", {"a": "int"}, primary_key="a")
+        restored = snapshot_roundtrip(table, "table__empty__")
+        assert len(restored) == 0
+        assert restored.schema == {"a": "int"}
+        assert restored.primary_key == "a"
+
+    def test_primary_key_still_enforced_after_restore(self):
+        restored = snapshot_roundtrip(make_table([row(0), row(1)]))
+        assert 1 in restored
+        assert restored.get_by_key(1)["vid"] == 1
+        with pytest.raises(DuplicateKeyError):
+            restored.insert(row(1))
+
+    def test_restored_table_accepts_new_inserts(self):
+        restored = snapshot_roundtrip(make_table([row(0), row(1)]))
+        restored.insert(row(2, label="rest"))
+        assert len(restored) == 3
+        assert restored.get_by_key(2)["label"] == "rest"
+
+    def test_table_without_primary_key(self):
+        table = Table("log", {"x": "float", "tag": "str"})
+        table.insert_many([{"x": 1.5, "tag": "a"}, {"x": 1.5, "tag": "a"}])
+        restored = snapshot_roundtrip(table, "log__")
+        assert restored.primary_key is None
+        assert restored.to_records() == table.to_records()
 
 
 class TestTableProperties:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import UnknownVideoError
+from repro.storage.table import Table
 from repro.storage.video_store import VideoStore
 from repro.types import VideoRecord
 
@@ -83,13 +84,15 @@ class TestVideoStore:
         rng = np.random.default_rng(0)
         assert store.sample_vids(3, rng, exclude=[0]) == []
 
-    def test_save_and_load_roundtrip(self, tmp_path):
+    def test_snapshot_roundtrip(self):
         store = VideoStore()
         store.add("a.mp4", 10.0, start_time=1.0, fps=30.0)
         store.add("b.mp4", 20.0, start_time=2.0, fps=24.0)
-        store.save(tmp_path)
-        loaded = VideoStore.load(tmp_path)
+        arrays = {}
+        doc = store.to_arrays(arrays, "table__videos__")
+        loaded = VideoStore()
+        loaded.restore_table(Table.from_arrays(doc, arrays, "table__videos__"))
         assert len(loaded) == 2
-        assert loaded.get(1).path == "b.mp4"
-        # New vids continue after the loaded maximum.
+        assert loaded.all() == store.all()
+        # New vids continue after the restored maximum.
         assert loaded.add("c.mp4", 5.0).vid == 2
