@@ -41,7 +41,6 @@ from ..exceptions import CheckpointError
 from ..models.model_manager import TrainingStats, _DesignCache
 from ..models.validation import CrossValidationResult, IncrementalFoldAssigner
 from ..scheduler.scheduler import IterationLatency
-from ..storage.table import Table
 from ..types import ClipSpec, TrainedModelInfo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -467,8 +466,8 @@ def restore_snapshot_files(session: "ExplorationSession", directory: Path) -> di
 
     storage = session.storage
     tables = state["tables"]
-    storage.videos.restore_table(Table.from_arrays(tables["videos"], arrays, "table__videos__"))
-    storage.labels.restore_table(Table.from_arrays(tables["labels"], arrays, "table__labels__"))
+    storage.videos.from_arrays(tables["videos"], arrays, "table__videos__")
+    storage.labels.from_arrays(tables["labels"], arrays, "table__labels__")
     storage.features.from_arrays(state["features"], arrays, "shard__")
     _restore_registry(session, state["registry"], arrays)
     _restore_models(session, state["models"], arrays)

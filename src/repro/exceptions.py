@@ -17,15 +17,7 @@ class StorageError(ReproError):
 
 
 class SchemaError(StorageError):
-    """Raised when rows or columns do not match a table schema."""
-
-
-class TableNotFoundError(StorageError):
-    """Raised when a named table does not exist in a catalog."""
-
-
-class DuplicateKeyError(StorageError):
-    """Raised when inserting a row whose primary key already exists."""
+    """Raised when a stored record's field has the wrong type."""
 
 
 class CheckpointError(StorageError):

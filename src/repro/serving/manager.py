@@ -184,6 +184,20 @@ class ResidentSession:
         self.poisoned = False
 
 
+#: ``SessionManager.stats()`` keys and the registry counters they report.
+_LIFECYCLE_COUNTERS = {
+    "creates": "serving.session_creates",
+    "restores": "serving.session_restores",
+    "evictions": "serving.session_evictions",
+    "eviction_overshoots": "serving.eviction_overshoots",
+    "residency_sheds": "serving.residency_sheds",
+    "recovered_tail_labels": "serving.recovered_tail_labels",
+    "quarantines": "serving.session_quarantines",
+    "rollbacks": "serving.session_rollbacks",
+    "rollback_failures": "serving.session_rollback_failures",
+}
+
+
 class SessionManager:
     """Hosts many named sessions in bounded memory (LRU + checkpoints)."""
 
@@ -230,16 +244,6 @@ class SessionManager:
         self._lock = threading.Lock()
         self._use_counter = itertools.count(1)
         self._closed = False
-        # Lifecycle tallies (mirrored into the metrics registry).
-        self._creates = 0
-        self._restores = 0
-        self._evictions = 0
-        self._overshoots = 0
-        self._residency_sheds = 0
-        self._recovered_labels = 0
-        self._quarantines = 0
-        self._rollbacks = 0
-        self._rollback_failures = 0
         # Idempotency-token registry for exactly-once label application.
         # Keyed at the manager (not the resident entry) so cached acks
         # survive eviction; a dedicated leaf lock keeps the registry out of
@@ -250,11 +254,13 @@ class SessionManager:
 
     # --------------------------------------------------------------- admission
     def _admit_locked(self, name: str, create: bool) -> None:
-        known = set(self.factory.list_sessions()) | set(self._resident)
-        if name in known:
+        if name in self._resident or self.factory.exists(name):
             return
         if not create:
             raise SessionNotFoundError(f"session {name!r} does not exist")
+        # Only a new session is counted against the limit, so only it pays
+        # for listing the session root.
+        known = set(self.factory.list_sessions()) | set(self._resident)
         if self.max_sessions and len(known) >= self.max_sessions:
             raise AdmissionError(
                 f"session limit reached ({self.max_sessions}); "
@@ -398,7 +404,6 @@ class SessionManager:
         rebuilt from disk on a later request.  Never touches the manager
         lock (lock order is ``_lock`` before ``entry.lock``).
         """
-        self._quarantines += 1
         self.metrics.counter("serving.session_quarantines").add(1)
         logger.warning("session %s quarantined: %s", entry.name, cause)
         try:
@@ -410,7 +415,6 @@ class SessionManager:
             report = self._restore(entry.name, fresh)
         except Exception as rollback_exc:
             entry.poisoned = True
-            self._rollback_failures += 1
             self.metrics.counter("serving.session_rollback_failures").add(1)
             logger.exception("session %s: rollback failed; entry poisoned", entry.name)
             raise SessionQuarantinedError(
@@ -421,7 +425,6 @@ class SessionManager:
                 "durable checkpoint on a later request; retry"
             ) from rollback_exc
         entry.vocal = fresh
-        self._rollbacks += 1
         self.metrics.counter("serving.session_rollbacks").add(1)
         session = fresh.session
         return (
@@ -475,10 +478,8 @@ class SessionManager:
         vocal = self.factory.build(name)
         if existed:
             self._restore(name, vocal)
-            self._restores += 1
             self.metrics.counter("serving.session_restores").add(1)
         else:
-            self._creates += 1
             self.metrics.counter("serving.session_creates").add(1)
         entry = ResidentSession(name, vocal)
         entry.last_used = next(self._use_counter)
@@ -502,7 +503,6 @@ class SessionManager:
         if report.tail_labels:
             vocal.session.add_labels(report.tail_labels)
             vocal.checkpoint()
-            self._recovered_labels += len(report.tail_labels)
             self.metrics.counter("serving.recovered_tail_labels").add(
                 len(report.tail_labels)
             )
@@ -543,7 +543,6 @@ class SessionManager:
                     self.max_overshoot is not None
                     and len(self._resident) >= self.max_resident + self.max_overshoot
                 ):
-                    self._residency_sheds += 1
                     self.metrics.counter("serving.residency_sheds").add(1)
                     raise AdmissionError(
                         f"no evictable session (resident={len(self._resident)}, "
@@ -553,7 +552,6 @@ class SessionManager:
                 # Otherwise admit anyway (temporary overshoot) rather than
                 # deadlock — the next idle boundary brings the count back
                 # under the cap.
-                self._overshoots += 1
                 self.metrics.counter("serving.eviction_overshoots").add(1)
                 logger.warning(
                     "no evictable session (resident=%d, cap=%d); overshooting",
@@ -591,7 +589,6 @@ class SessionManager:
         # checkpoint write, and this keeps memory release as deterministic
         # as the eviction itself.
         gc.collect()
-        self._evictions += 1
         self.metrics.counter("serving.session_evictions").add(1)
         self.metrics.gauge("serving.resident_sessions").set(len(self._resident))
         logger.info("evicted session %s to disk", entry.name)
@@ -698,13 +695,8 @@ class SessionManager:
                 "max_resident": self.max_resident,
                 "max_sessions": self.max_sessions,
                 "sessions_on_disk": len(self.factory.list_sessions()),
-                "creates": self._creates,
-                "restores": self._restores,
-                "evictions": self._evictions,
-                "eviction_overshoots": self._overshoots,
-                "residency_sheds": self._residency_sheds,
-                "recovered_tail_labels": self._recovered_labels,
-                "quarantines": self._quarantines,
-                "rollbacks": self._rollbacks,
-                "rollback_failures": self._rollback_failures,
+                **{
+                    key: int(self.metrics.counter(name).value)
+                    for key, name in _LIFECYCLE_COUNTERS.items()
+                },
             }

@@ -1,12 +1,12 @@
-"""Storage subsystem: embedded column store plus the VOCALExplore stores.
+"""Storage subsystem: the VOCALExplore Storage Manager and its stores.
 
 Public entry points:
 
 * :class:`StorageManager` — facade bundling the four concrete stores.
 * :class:`VideoStore`, :class:`LabelStore`, :class:`FeatureStore`,
-  :class:`ModelRegistry` — the concrete stores.
-* :class:`Table`, :class:`Column`, :func:`col`, :func:`lit` — the embedded
-  column store and its predicate-expression DSL.
+  :class:`ModelRegistry` — the concrete stores.  The video and label stores
+  keep plain lists of frozen records whose position is their id; the feature
+  store keeps one columnar shard per extractor.
 * :class:`~repro.storage.durability.CheckpointManager` and friends — the
   durable checkpoint/restore subsystem (write-ahead journal, atomic
   generation snapshots, crash recovery).
@@ -17,23 +17,14 @@ store stages its own part of it (``to_arrays``) and refills itself in place
 on resume.
 """
 
-from .column import Column, ColumnType
 from .durability import CheckpointManager, replay_records
-from .expressions import Expression, col, lit
 from .feature_store import FeatureStore
 from .label_store import LabelStore
 from .model_registry import ModelRegistry
 from .storage_manager import StorageManager
-from .table import Table
 from .video_store import VideoStore
 
 __all__ = [
-    "Column",
-    "ColumnType",
-    "Expression",
-    "col",
-    "lit",
-    "Table",
     "VideoStore",
     "LabelStore",
     "FeatureStore",

@@ -2,18 +2,18 @@
 
 Persists every ``AddLabel`` call and answers the queries the Active Learning
 Manager needs: per-class counts (for the skew test and the S_max diversity
-metric), the full label list (for training), and per-video lookups (so already
-labeled clips are not sampled again).
+metric), the full label list (for training), the appended tail since a
+revision (for incremental training), and the labeled vids (so already labeled
+videos are not sampled again).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..types import ClipSpec, Label
-from .expressions import col
-from .table import Table
+from .records import check_field, load_table, stage_table
 
 __all__ = ["LabelStore"]
 
@@ -27,20 +27,18 @@ _SCHEMA = {
 
 
 class LabelStore:
-    """Append-only store of user-provided labels."""
+    """Append-only store of user-provided labels; a label's position is its id."""
 
     TABLE_NAME = "labels"
 
     def __init__(self) -> None:
-        self._table = Table(self.TABLE_NAME, _SCHEMA, primary_key="label_id")
-        self._next_id = 0
-        self._revision = 0
+        self._labels: list[Label] = []
         #: Optional write-ahead sink (``repro.storage.durability``): every
         #: stored label is journaled, keyed by the post-write revision.
         self.journal_sink = None
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._labels)
 
     @property
     def revision(self) -> int:
@@ -50,33 +48,34 @@ class LabelStore:
         at revision ``r`` can catch up by processing only ``since(r)``; the
         Model Manager's design-matrix cache relies on this.
         """
-        return self._revision
+        return len(self._labels)
 
     # ------------------------------------------------------------------ writes
     def add(self, label: Label) -> int:
-        """Store one label; returns its id."""
-        label_id = self._next_id
-        self._table.insert(
-            {
-                "label_id": label_id,
-                "vid": label.vid,
-                "start": label.start,
-                "end": label.end,
-                "label": label.label,
-            }
+        """Store one label; returns its id.
+
+        Raises:
+            SchemaError: if a field has the wrong type; nothing is stored
+                or journaled.
+        """
+        stored = Label(
+            vid=check_field("vid", "int", label.vid),
+            start=check_field("start", "float", label.start),
+            end=check_field("end", "float", label.end),
+            label=check_field("label", "str", label.label),
         )
-        self._next_id += 1
-        self._revision += 1
+        label_id = len(self._labels)
+        self._labels.append(stored)
         if self.journal_sink is not None:
             self.journal_sink(
                 {
                     "type": "label",
                     "label_id": label_id,
-                    "vid": label.vid,
-                    "start": label.start,
-                    "end": label.end,
-                    "label": label.label,
-                    "revision": self._revision,
+                    "vid": stored.vid,
+                    "start": stored.start,
+                    "end": stored.end,
+                    "label": stored.label,
+                    "revision": self.revision,
                 }
             )
         return label_id
@@ -88,65 +87,33 @@ class LabelStore:
     # ------------------------------------------------------------------- reads
     def all(self) -> list[Label]:
         """Return every stored label in insertion order."""
-        return [
-            Label(vid=row["vid"], start=row["start"], end=row["end"], label=row["label"])
-            for row in self._table.rows()
-        ]
+        return list(self._labels)
 
     def since(self, revision: int) -> list[Label]:
         """Labels appended after ``revision``, in insertion order.
 
         ``since(self.revision)`` is always empty; ``since(0)`` equals
         :meth:`all`.  Revisions tick once per stored label, so the labels
-        newer than revision ``r`` are exactly the rows inserted at positions
-        ``r`` onwards.
+        newer than revision ``r`` are exactly those at positions ``r``
+        onwards.
         """
-        if revision >= self._revision:
-            return []
-        # Direct row indexing: materialising only the appended tail keeps this
-        # O(new labels), not O(all labels).
-        return [
-            Label(vid=row["vid"], start=row["start"], end=row["end"], label=row["label"])
-            for row in (
-                self._table.row(index)
-                for index in range(max(0, revision), len(self._table))
-            )
-        ]
-
-    def for_video(self, vid: int) -> list[Label]:
-        """Return the labels applied to video ``vid``."""
-        subset = self._table.filter(col("vid") == vid)
-        return [
-            Label(vid=row["vid"], start=row["start"], end=row["end"], label=row["label"])
-            for row in subset.rows()
-        ]
+        return self._labels[max(0, revision):]
 
     def labeled_clips(self) -> list[ClipSpec]:
         """Return the clip of every stored label (possibly with duplicates)."""
-        return [label.clip for label in self.all()]
+        return [label.clip for label in self._labels]
 
     def labeled_vids(self) -> list[int]:
         """Return the distinct vids that carry at least one label."""
-        return [int(v) for v in self._table.distinct("vid")]
+        return list(dict.fromkeys(label.vid for label in self._labels))
 
     def class_counts(self) -> dict[str, int]:
         """Return the number of labels per class."""
-        return dict(Counter(str(v) for v in self._table.column("label")))
+        return dict(Counter(label.label for label in self._labels))
 
     def classes(self) -> list[str]:
         """Return the distinct class names in first-seen order."""
-        return [str(v) for v in self._table.distinct("label")]
-
-    def count_for_class(self, label: str) -> int:
-        """Return the number of labels with class ``label``."""
-        return self.class_counts().get(label, 0)
-
-    def covers(self, clip: ClipSpec) -> bool:
-        """Return True when some stored label overlaps ``clip``."""
-        for label in self.for_video(clip.vid):
-            if label.clip.overlaps(clip):
-                return True
-        return False
+        return list(dict.fromkeys(label.label for label in self._labels))
 
     def diversity_smax(self) -> float:
         """Fraction of labels belonging to the most-seen class (paper's S_max).
@@ -161,17 +128,20 @@ class LabelStore:
 
     # ---------------------------------------------------------------- snapshot
     def to_arrays(self, arrays: dict, prefix: str) -> dict:
-        """Stage the label table into a snapshot bundle (see :meth:`Table.to_arrays`)."""
-        return self._table.to_arrays(arrays, prefix)
+        """Stage one array per column into ``arrays``; returns the table doc."""
+        return stage_table(arrays, prefix, self.TABLE_NAME, "label_id", _SCHEMA, self._labels)
 
-    def restore_table(self, table: Table) -> None:
-        """Adopt a rebuilt label table in place (checkpoint recovery).
+    def from_arrays(self, doc: dict, arrays, prefix: str) -> None:
+        """Refill the store in place from a table staged by :meth:`to_arrays`.
 
         Managers hold references to this store, so recovery refills it
         rather than swapping in a new one; the journal sink is left
-        untouched and not invoked.
+        untouched and not invoked.  The revision becomes the restored
+        label count.
+
+        Raises:
+            CheckpointError: if the table does not match this store's layout;
+                the store is left unchanged.
         """
-        self._table = table
-        ids = self._table.column("label_id")
-        self._next_id = int(max(ids)) + 1 if len(ids) else 0
-        self._revision = len(self._table)
+        rows = load_table(doc, arrays, prefix, self.TABLE_NAME, "label_id", _SCHEMA)
+        self._labels = [Label(*row[1:]) for row in rows]

@@ -1,19 +1,20 @@
 """Video metadata store.
 
 Tracks every video registered through ``AddVideo`` (or bulk loading) and hands
-out stable integer video ids.  Backed by a column-store table so metadata can
-be filtered with predicate expressions and captured in checkpoint snapshots.
+out stable integer video ids.  The store is a plain list of frozen
+:class:`~repro.types.VideoRecord` rows whose position is their ``vid``, and it
+stages itself as one table of a checkpoint snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from ..exceptions import UnknownVideoError
 from ..types import VideoRecord
-from .table import Table
+from .records import check_field, load_table, stage_table
 
 __all__ = ["VideoStore"]
 
@@ -32,17 +33,20 @@ class VideoStore:
     TABLE_NAME = "videos"
 
     def __init__(self) -> None:
-        self._table = Table(self.TABLE_NAME, _SCHEMA, primary_key="vid")
-        self._next_vid = 0
+        self._records: list[VideoRecord] = []
         #: Optional write-ahead sink (``repro.storage.durability``): every
         #: registered video is journaled under its assigned vid.
         self.journal_sink = None
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._records)
 
-    def __contains__(self, vid: int) -> bool:
-        return vid in self._table
+    def __contains__(self, vid: object) -> bool:
+        return (
+            isinstance(vid, (int, np.integer))
+            and not isinstance(vid, bool)
+            and 0 <= vid < len(self._records)
+        )
 
     # ------------------------------------------------------------------ writes
     def add(
@@ -52,24 +56,20 @@ class VideoStore:
         start_time: float = 0.0,
         fps: float = 30.0,
     ) -> VideoRecord:
-        """Register one video and return its record (with an assigned ``vid``)."""
+        """Register one video and return its record (with an assigned ``vid``).
+
+        Raises:
+            SchemaError: if a field has the wrong type; nothing is stored
+                or journaled.
+        """
         record = VideoRecord(
-            vid=self._next_vid,
-            path=path,
-            duration=float(duration),
-            start_time=float(start_time),
-            fps=float(fps),
+            vid=len(self._records),
+            path=check_field("path", "str", path),
+            duration=check_field("duration", "float", duration),
+            start_time=check_field("start_time", "float", start_time),
+            fps=check_field("fps", "float", fps),
         )
-        self._table.insert(
-            {
-                "vid": record.vid,
-                "path": record.path,
-                "duration": record.duration,
-                "start_time": record.start_time,
-                "fps": record.fps,
-            }
-        )
-        self._next_vid += 1
+        self._records.append(record)
         if self.journal_sink is not None:
             self.journal_sink(
                 {
@@ -100,54 +100,37 @@ class VideoStore:
         Raises:
             UnknownVideoError: if the vid has not been registered.
         """
-        try:
-            row = self._table.get_by_key(vid)
-        except KeyError as exc:
-            raise UnknownVideoError(f"video {vid} is not registered") from exc
-        return VideoRecord(
-            vid=row["vid"],
-            path=row["path"],
-            duration=row["duration"],
-            start_time=row["start_time"],
-            fps=row["fps"],
-        )
+        if vid not in self:
+            raise UnknownVideoError(f"video {vid} is not registered")
+        return self._records[vid]
 
     def all(self) -> list[VideoRecord]:
         """Return every registered video in insertion order."""
-        return [self.get(int(vid)) for vid in self._table.column("vid")]
+        return list(self._records)
 
     def vids(self) -> list[int]:
         """Return all registered video ids in insertion order."""
-        return [int(v) for v in self._table.column("vid")]
+        return list(range(len(self._records)))
 
     def total_duration(self) -> float:
         """Sum of all video durations in seconds."""
-        if len(self._table) == 0:
-            return 0.0
-        return float(np.sum(self._table.column("duration")))
-
-    def sample_vids(self, count: int, rng: np.random.Generator, exclude: Sequence[int] = ()) -> list[int]:
-        """Sample up to ``count`` distinct vids uniformly at random, skipping ``exclude``."""
-        excluded = set(exclude)
-        available = [vid for vid in self.vids() if vid not in excluded]
-        if not available:
-            return []
-        count = min(count, len(available))
-        chosen = rng.choice(len(available), size=count, replace=False)
-        return [available[int(i)] for i in chosen]
+        return float(np.sum([record.duration for record in self._records]))
 
     # ---------------------------------------------------------------- snapshot
     def to_arrays(self, arrays: dict, prefix: str) -> dict:
-        """Stage the video table into a snapshot bundle (see :meth:`Table.to_arrays`)."""
-        return self._table.to_arrays(arrays, prefix)
+        """Stage one array per column into ``arrays``; returns the table doc."""
+        return stage_table(arrays, prefix, self.TABLE_NAME, "vid", _SCHEMA, self._records)
 
-    def restore_table(self, table: Table) -> None:
-        """Adopt a rebuilt video table in place (checkpoint recovery).
+    def from_arrays(self, doc: dict, arrays, prefix: str) -> None:
+        """Refill the store in place from a table staged by :meth:`to_arrays`.
 
         Managers hold references to this store, so recovery refills it
         rather than swapping in a new one; the journal sink is left
         untouched and not invoked.
+
+        Raises:
+            CheckpointError: if the table does not match this store's layout;
+                the store is left unchanged.
         """
-        self._table = table
-        vids = self._table.column("vid")
-        self._next_vid = int(np.max(vids)) + 1 if len(vids) else 0
+        rows = load_table(doc, arrays, prefix, self.TABLE_NAME, "vid", _SCHEMA)
+        self._records = [VideoRecord(*row) for row in rows]

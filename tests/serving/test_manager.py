@@ -62,6 +62,51 @@ class TestAdmission:
         with pytest.raises(ServingError, match="illegal"):
             manager.open("no/slashes")
 
+    def test_known_sessions_are_admitted_without_listing_the_root(self, factory, monkeypatch):
+        with SessionManager(factory, max_resident=1, max_sessions=2) as manager:
+            manager.open("a")
+            manager.open("b")  # evicts a to disk
+            listings = []
+            real_list = factory.list_sessions
+            monkeypatch.setattr(
+                factory, "list_sessions", lambda: listings.append(1) or real_list()
+            )
+            manager.open("b")  # resident
+            manager.open("a")  # paged out, found on disk
+            assert listings == []
+            with pytest.raises(AdmissionError):
+                manager.open("c")
+            assert listings == [1]
+
+
+class TestLifecycleCounters:
+    #: ``stats()`` key -> the registry counter it reports.
+    COUNTERS = {
+        "creates": "serving.session_creates",
+        "restores": "serving.session_restores",
+        "evictions": "serving.session_evictions",
+        "eviction_overshoots": "serving.eviction_overshoots",
+        "residency_sheds": "serving.residency_sheds",
+        "recovered_tail_labels": "serving.recovered_tail_labels",
+        "quarantines": "serving.session_quarantines",
+        "rollbacks": "serving.session_rollbacks",
+        "rollback_failures": "serving.session_rollback_failures",
+    }
+
+    def test_stats_equal_registry_after_create_evict_restore(self, manager):
+        for name in ("a", "b", "c", "a"):  # c evicts a; reopening a restores it, evicting b
+            manager.open(name)
+        stats = manager.stats()
+        counters = manager.metrics.snapshot()["counters"]
+        assert {key: stats[key] for key in self.COUNTERS} == {
+            key: int(counters.get(name, 0)) for key, name in self.COUNTERS.items()
+        }
+        assert (stats["creates"], stats["evictions"], stats["restores"]) == (3, 2, 1)
+
+    def test_stats_read_the_registry(self, manager):
+        manager.metrics.counter("serving.session_rollbacks").add(2)
+        assert manager.stats()["rollbacks"] == 2
+
 
 class TestEviction:
     def test_lru_eviction_at_capacity(self, manager):

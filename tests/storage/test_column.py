@@ -1,155 +1,132 @@
-"""Tests for the typed column buffer."""
+"""Tests for the typed columns of the record stores.
+
+A store declares an ordered ``{column: type}`` schema.  ``check_field``
+enforces a column's type on every value the store accepts, and
+``stage_table``/``load_table`` carry each column through a snapshot as one
+int64, float64 or fixed-width unicode array.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import SchemaError
-from repro.storage.column import Column, ColumnType
+from repro.storage.records import check_field, load_table, stage_table
+from repro.storage.video_store import VideoStore
+
+
+class Row:
+    """A record with an ``x`` attribute; its id column is its position."""
+
+    def __init__(self, x):
+        self.x = x
+
+
+def column_roundtrip(type_name, values):
+    """Stage ``values`` as column ``x`` and load them back."""
+    schema = {"id": "int", "x": type_name}
+    arrays = {}
+    doc = stage_table(arrays, "t__", "t", "id", schema, [Row(value) for value in values])
+    return [x for _, x in load_table(doc, arrays, "t__", "t", "id", schema)]
+
+
+def staged_column(store, column):
+    arrays = {}
+    store.to_arrays(arrays, "table__videos__")
+    return arrays["table__videos__" + column]
 
 
 class TestColumnBasics:
     def test_empty_column_has_zero_length(self):
-        assert len(Column("x", ColumnType.INT)) == 0
+        arrays = {}
+        stage_table(arrays, "t__", "t", "id", {"id": "int", "x": "float", "s": "str"}, [])
+        assert {name: (len(array), array.dtype.str) for name, array in arrays.items()} == {
+            "t__id": (0, "<i8"),
+            "t__x": (0, "<f8"),
+            "t__s": (0, "<U1"),
+        }
 
     def test_append_and_get(self):
-        column = Column("x", ColumnType.INT)
-        column.append(3)
-        column.append(5)
-        assert len(column) == 2
-        assert column.get(0) == 3
-        assert column.get(1) == 5
+        store = VideoStore()
+        store.add("a.mp4", 3.0)
+        store.add("b.mp4", 5.0)
+        durations = staged_column(store, "duration")
+        assert len(durations) == 2
+        assert durations[0] == 3.0
+        assert durations[1] == 5.0
 
     def test_extend_from_constructor(self):
-        column = Column("x", ColumnType.FLOAT, [1.0, 2.5, 3.25])
-        assert column.to_list() == [1.0, 2.5, 3.25]
-
-    def test_values_returns_readonly_view(self):
-        column = Column("x", ColumnType.INT, [1, 2, 3])
-        view = column.values()
-        assert list(view) == [1, 2, 3]
-        with pytest.raises(ValueError):
-            view[0] = 99
+        assert column_roundtrip("float", [1.0, 2.5, 3.25]) == [1.0, 2.5, 3.25]
 
     def test_growth_beyond_initial_capacity(self):
-        column = Column("x", ColumnType.INT)
+        store = VideoStore()
         for i in range(100):
-            column.append(i)
-        assert len(column) == 100
-        assert column.to_list() == list(range(100))
-
-    def test_repr_contains_name_and_size(self):
-        column = Column("duration", ColumnType.FLOAT, [1.0])
-        text = repr(column)
-        assert "duration" in text
-        assert "size=1" in text
+            store.add(f"{i}.mp4", 1.0 + i)
+        assert staged_column(store, "duration").tolist() == [1.0 + i for i in range(100)]
+        assert staged_column(store, "vid").tolist() == list(range(100))
 
 
 class TestColumnTypes:
-    def test_unknown_type_rejected(self):
-        with pytest.raises(SchemaError):
-            Column("x", "decimal")
-
     def test_int_column_rejects_float(self):
-        column = Column("x", ColumnType.INT)
         with pytest.raises(SchemaError):
-            column.append(1.5)
+            check_field("x", "int", 1.5)
 
     def test_int_column_rejects_bool(self):
-        column = Column("x", ColumnType.INT)
         with pytest.raises(SchemaError):
-            column.append(True)
+            check_field("x", "int", True)
 
     def test_float_column_accepts_int(self):
-        column = Column("x", ColumnType.FLOAT)
-        column.append(2)
-        assert column.get(0) == 2.0
-        assert isinstance(column.get(0), float)
+        value = check_field("x", "float", 2)
+        assert value == 2.0
+        assert isinstance(value, float)
 
     def test_float_column_rejects_string(self):
-        column = Column("x", ColumnType.FLOAT)
         with pytest.raises(SchemaError):
-            column.append("3.5")
-
-    def test_bool_column_rejects_int(self):
-        column = Column("x", ColumnType.BOOL)
-        with pytest.raises(SchemaError):
-            column.append(1)
+            check_field("x", "float", "3.5")
 
     def test_str_column_rejects_int(self):
-        column = Column("x", ColumnType.STR)
         with pytest.raises(SchemaError):
-            column.append(7)
+            check_field("x", "str", 7)
 
     def test_none_rejected(self):
-        column = Column("x", ColumnType.STR)
-        with pytest.raises(SchemaError):
-            column.append(None)
+        for type_name in ("int", "float", "str"):
+            with pytest.raises(SchemaError):
+                check_field("x", type_name, None)
 
     def test_numpy_scalars_accepted(self):
-        column = Column("x", ColumnType.INT)
-        column.append(np.int64(12))
-        assert column.get(0) == 12
+        assert check_field("x", "int", np.int64(12)) == 12
+        assert check_field("x", "float", np.float32(0.5)) == 0.5
+        assert check_field("x", "str", np.str_("walk")) == "walk"
 
     def test_get_returns_python_scalars(self):
-        column = Column("flag", ColumnType.BOOL, [True, False])
-        assert column.get(0) is True
-        assert isinstance(column.get(0), bool)
+        assert type(check_field("x", "int", np.int64(3))) is int
+        assert type(check_field("x", "float", np.int64(3))) is float
+        assert type(check_field("x", "str", np.str_("a"))) is str
 
-
-class TestColumnOperations:
-    def test_set_overwrites_value(self):
-        column = Column("x", ColumnType.INT, [1, 2, 3])
-        column.set(1, 20)
-        assert column.to_list() == [1, 20, 3]
-
-    def test_set_out_of_range(self):
-        column = Column("x", ColumnType.INT, [1])
-        with pytest.raises(IndexError):
-            column.set(5, 1)
-
-    def test_get_out_of_range(self):
-        column = Column("x", ColumnType.INT, [1])
-        with pytest.raises(IndexError):
-            column.get(1)
-
-    def test_take_subset_in_order(self):
-        column = Column("x", ColumnType.STR, ["a", "b", "c", "d"])
-        taken = column.take([3, 0, 2])
-        assert taken.to_list() == ["d", "a", "c"]
-        assert taken.name == "x"
-
-    def test_take_out_of_range(self):
-        column = Column("x", ColumnType.INT, [1, 2])
-        with pytest.raises(IndexError):
-            column.take([0, 5])
-
-    def test_copy_is_independent(self):
-        original = Column("x", ColumnType.INT, [1, 2])
-        duplicate = original.copy()
-        duplicate.append(3)
-        assert len(original) == 2
-        assert len(duplicate) == 3
+    def test_nul_character_rejected(self):
+        # A fixed-width unicode array drops trailing NULs, so a string holding
+        # one would not survive a snapshot.
+        for value in ("walk\x00", "a\x00b"):
+            with pytest.raises(SchemaError):
+                check_field("x", "str", value)
 
 
 class TestColumnProperties:
     @given(st.lists(st.integers(min_value=-(2**31), max_value=2**31)))
     def test_int_roundtrip(self, values):
-        column = Column("x", ColumnType.INT, values)
-        assert column.to_list() == values
+        assert column_roundtrip("int", values) == values
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32)))
     def test_float_roundtrip(self, values):
-        column = Column("x", ColumnType.FLOAT, values)
-        assert column.to_list() == pytest.approx(values)
+        assert column_roundtrip("float", values) == pytest.approx(values)
 
     @given(st.lists(st.text(max_size=20)))
     def test_str_roundtrip(self, values):
-        column = Column("x", ColumnType.STR, values)
-        assert column.to_list() == values
-
-    @given(st.lists(st.integers(min_value=0, max_value=100), min_size=1))
-    def test_take_identity_permutation(self, values):
-        column = Column("x", ColumnType.INT, values)
-        taken = column.take(list(range(len(values))))
-        assert taken.to_list() == values
+        accepted = []
+        for value in values:
+            if "\x00" in value:
+                with pytest.raises(SchemaError):
+                    check_field("x", "str", value)
+            else:
+                accepted.append(check_field("x", "str", value))
+        assert column_roundtrip("str", accepted) == accepted

@@ -1,9 +1,10 @@
 """Tests for the label store."""
 
+import numpy as np
 import pytest
 
+from repro.exceptions import CheckpointError, SchemaError
 from repro.storage.label_store import LabelStore
-from repro.storage.table import Table
 from repro.types import ClipSpec, Label
 
 
@@ -11,12 +12,21 @@ def label(vid, start=0.0, end=1.0, name="walk"):
     return Label(vid=vid, start=start, end=end, label=name)
 
 
-def snapshot_roundtrip(store):
-    """Stage ``store`` into a snapshot bundle and restore a fresh store from it."""
+def field_types(fields):
+    """Test id naming each overridden field and the type of its value."""
+    return ",".join(f"{name}={type(value).__name__}" for name, value in fields.items())
+
+
+def staged(store):
+    """Stage ``store`` into a snapshot bundle; returns ``(doc, arrays)``."""
     arrays = {}
-    doc = store.to_arrays(arrays, "table__labels__")
+    return store.to_arrays(arrays, "table__labels__"), arrays
+
+
+def snapshot_roundtrip(store):
+    """Restore a fresh store from ``store``'s staged snapshot part."""
     restored = LabelStore()
-    restored.restore_table(Table.from_arrays(doc, arrays, "table__labels__"))
+    restored.from_arrays(*staged(store), "table__labels__")
     return restored
 
 
@@ -38,14 +48,6 @@ class TestLabelStore:
         ids = store.add_many([label(0), label(1), label(2)])
         assert ids == [0, 1, 2]
 
-    def test_for_video(self):
-        store = LabelStore()
-        store.add(label(0, name="a"))
-        store.add(label(1, name="b"))
-        store.add(label(0, 5.0, 6.0, "c"))
-        names = [entry.label for entry in store.for_video(0)]
-        assert names == ["a", "c"]
-
     def test_labeled_vids_distinct(self):
         store = LabelStore()
         store.add(label(3))
@@ -64,16 +66,6 @@ class TestLabelStore:
         for name in ["b", "a", "b", "c"]:
             store.add(label(0, name=name))
         assert store.classes() == ["b", "a", "c"]
-
-    def test_count_for_class_missing(self):
-        assert LabelStore().count_for_class("x") == 0
-
-    def test_covers_overlapping_clip(self):
-        store = LabelStore()
-        store.add(label(0, 2.0, 4.0))
-        assert store.covers(ClipSpec(0, 3.0, 5.0))
-        assert not store.covers(ClipSpec(0, 4.5, 5.0))
-        assert not store.covers(ClipSpec(1, 2.0, 4.0))
 
     def test_labeled_clips(self):
         store = LabelStore()
@@ -104,8 +96,29 @@ class TestLabelStore:
         assert len(loaded) == 2
         assert loaded.all() == store.all()
         assert loaded.class_counts() == {"walk": 1, "eat": 1}
-        # New ids continue after the restored maximum.
+        # New ids continue after the restored rows.
         assert loaded.add(label(9)) == 2
+        assert loaded.since(2) == [label(9)]
+
+    def test_empty_store_roundtrip(self):
+        loaded = snapshot_roundtrip(LabelStore())
+        assert len(loaded) == 0
+        assert loaded.revision == 0
+        assert loaded.all() == []
+        assert loaded.add(label(0)) == 0
+
+    def test_restore_replaces_contents_without_journaling(self):
+        source = LabelStore()
+        source.add(label(0, name="walk"))
+        doc, arrays = staged(source)
+        target = LabelStore()
+        target.add_many([label(1), label(2), label(3)])
+        journaled = []
+        target.journal_sink = journaled.append
+        target.from_arrays(doc, arrays, "table__labels__")
+        assert target.all() == source.all()
+        assert target.revision == 1
+        assert journaled == []
 
 
 class TestRevision:
@@ -147,3 +160,82 @@ class TestRevision:
         loaded.add(label(2))
         assert loaded.revision == 3
         assert [entry.vid for entry in loaded.since(2)] == [2]
+
+
+class TestLabelFieldTypes:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"vid": 1.0},
+            {"vid": True},
+            {"vid": None},
+            {"vid": "0"},
+            {"start": "0"},
+            {"start": False},
+            {"end": None},
+            {"label": 3},
+            {"label": None},
+            {"label": b"walk"},
+            {"label": "walk\x00"},
+        ],
+        ids=field_types,
+    )
+    def test_wrongly_typed_field_is_rejected_before_storing(self, fields):
+        store = LabelStore()
+        journaled = []
+        store.journal_sink = journaled.append
+        with pytest.raises(SchemaError):
+            store.add(Label(**{"vid": 0, "start": 0.0, "end": 1.0, "label": "walk", **fields}))
+        assert len(store) == 0
+        assert store.revision == 0
+        assert journaled == []
+
+    def test_numbers_are_normalised(self):
+        store = LabelStore()
+        journaled = []
+        store.journal_sink = journaled.append
+        store.add(Label(vid=np.int64(2), start=1, end=np.float32(2.5), label=np.str_("eat")))
+        (stored,) = store.all()
+        assert stored == Label(vid=2, start=1.0, end=2.5, label="eat")
+        assert [type(value) for value in (stored.vid, stored.start, stored.end, stored.label)] == [
+            int, float, float, str
+        ]
+        assert journaled[0]["vid"] == 2 and journaled[0]["revision"] == 1
+
+
+class TestLabelStoreCorruptSnapshot:
+    @staticmethod
+    def assert_rejected(doc, arrays):
+        store = LabelStore()
+        store.add(label(7, name="kept"))
+        before = store.all()
+        with pytest.raises(CheckpointError):
+            store.from_arrays(doc, arrays, "table__labels__")
+        assert store.all() == before
+        assert store.revision == 1
+
+    @staticmethod
+    def populated():
+        store = LabelStore()
+        store.add_many([label(0, name="a"), label(1, name="b"), label(2, name="c")])
+        return staged(store)
+
+    def test_duplicate_ids(self):
+        doc, arrays = self.populated()
+        self.assert_rejected(doc, {**arrays, "table__labels__label_id": np.array([0, 0, 1])})
+
+    def test_non_dense_ids(self):
+        doc, arrays = self.populated()
+        self.assert_rejected(doc, {**arrays, "table__labels__label_id": np.array([1, 2, 3])})
+
+    def test_wrong_schema(self):
+        doc, arrays = self.populated()
+        self.assert_rejected({**doc, "schema": {**doc["schema"], "label": "int"}}, arrays)
+        self.assert_rejected({**doc, "primary_key": "vid"}, arrays)
+
+    def test_short_or_missing_array(self):
+        doc, arrays = self.populated()
+        self.assert_rejected(doc, {**arrays, "table__labels__end": np.array([1.0])})
+        self.assert_rejected({**doc, "row_count": 2}, arrays)
+        self.assert_rejected({**doc, "row_count": "3"}, arrays)
+        self.assert_rejected(doc, {k: v for k, v in arrays.items() if not k.endswith("label")})

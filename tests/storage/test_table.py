@@ -1,4 +1,10 @@
-"""Tests for the column-store table."""
+"""Tests for a record store's snapshot table.
+
+``stage_table`` turns a store's records into one table document (``name``,
+``primary_key``, ``schema``, ``row_count``) plus one array per column, and
+``load_table`` reads them back as rows after checking them against the
+store's layout.  The id column holds each record's position.
+"""
 
 import io
 
@@ -6,195 +12,30 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.exceptions import DuplicateKeyError, SchemaError
-from repro.storage.expressions import col
-from repro.storage.table import Table
+from repro.exceptions import CheckpointError, UnknownVideoError
+from repro.storage.label_store import LabelStore
+from repro.storage.records import load_table, stage_table
+from repro.storage.video_store import VideoStore
+from repro.types import Label, VideoRecord
 
-SCHEMA = {"vid": "int", "duration": "float", "label": "str", "active": "bool"}
-
-
-def make_table(rows=()):
-    table = Table("videos", SCHEMA, primary_key="vid")
-    for row in rows:
-        table.insert(row)
-    return table
+SCHEMA = {"vid": "int", "duration": "float", "label": "str"}
 
 
-def row(vid, duration=10.0, label="a", active=True):
-    return {"vid": vid, "duration": duration, "label": label, "active": active}
+class Row:
+    def __init__(self, duration=10.0, label="a", vid=-1):
+        self.vid = vid
+        self.duration = duration
+        self.label = label
 
 
-class TestTableConstruction:
-    def test_empty_schema_rejected(self):
-        with pytest.raises(SchemaError):
-            Table("t", {})
-
-    def test_primary_key_must_be_column(self):
-        with pytest.raises(SchemaError):
-            Table("t", {"a": "int"}, primary_key="b")
-
-    def test_schema_exposed(self):
-        table = make_table()
-        assert table.schema == SCHEMA
-        assert table.column_names == list(SCHEMA)
+def stage(records, prefix="t__"):
+    arrays = {}
+    doc = stage_table(arrays, prefix, "videos", "vid", SCHEMA, records)
+    return doc, arrays
 
 
-class TestInsert:
-    def test_insert_returns_incrementing_index(self):
-        table = make_table()
-        assert table.insert(row(0)) == 0
-        assert table.insert(row(1)) == 1
-        assert len(table) == 2
-
-    def test_missing_column_rejected(self):
-        table = make_table()
-        with pytest.raises(SchemaError):
-            table.insert({"vid": 0, "duration": 1.0, "label": "a"})
-
-    def test_extra_column_rejected(self):
-        table = make_table()
-        bad = row(0)
-        bad["extra"] = 1
-        with pytest.raises(SchemaError):
-            table.insert(bad)
-
-    def test_duplicate_primary_key_rejected(self):
-        table = make_table([row(0)])
-        with pytest.raises(DuplicateKeyError):
-            table.insert(row(0))
-
-    def test_insert_many(self):
-        table = make_table()
-        indices = table.insert_many([row(0), row(1), row(2)])
-        assert indices == [0, 1, 2]
-
-    def test_contains_uses_primary_key(self):
-        table = make_table([row(5)])
-        assert 5 in table
-        assert 6 not in table
-
-    def test_contains_without_primary_key_raises(self):
-        table = Table("t", {"a": "int"})
-        table.insert({"a": 1})
-        with pytest.raises(SchemaError):
-            1 in table
-
-
-class TestReads:
-    def test_row_roundtrip(self):
-        table = make_table([row(0, 3.5, "walk", False)])
-        assert table.row(0) == {"vid": 0, "duration": 3.5, "label": "walk", "active": False}
-
-    def test_rows_iterates_all(self):
-        table = make_table([row(i) for i in range(4)])
-        assert [r["vid"] for r in table.rows()] == [0, 1, 2, 3]
-
-    def test_get_by_key(self):
-        table = make_table([row(3, label="x"), row(7, label="y")])
-        assert table.get_by_key(7)["label"] == "y"
-
-    def test_get_by_missing_key(self):
-        table = make_table([row(0)])
-        with pytest.raises(KeyError):
-            table.get_by_key(99)
-
-    def test_column_returns_values(self):
-        table = make_table([row(0, label="a"), row(1, label="b")])
-        assert list(table.column("label")) == ["a", "b"]
-
-    def test_unknown_column_raises(self):
-        table = make_table([row(0)])
-        with pytest.raises(SchemaError):
-            table.column("missing")
-
-
-class TestUpdate:
-    def test_update_changes_values(self):
-        table = make_table([row(0, label="a")])
-        table.update(0, {"label": "b", "duration": 2.0})
-        assert table.row(0)["label"] == "b"
-        assert table.row(0)["duration"] == 2.0
-
-    def test_update_unknown_column_rejected(self):
-        table = make_table([row(0)])
-        with pytest.raises(SchemaError):
-            table.update(0, {"missing": 1})
-
-    def test_update_primary_key_reindexes(self):
-        table = make_table([row(0)])
-        table.update(0, {"vid": 9})
-        assert 9 in table
-        assert 0 not in table
-
-    def test_update_primary_key_duplicate_rejected(self):
-        table = make_table([row(0), row(1)])
-        with pytest.raises(DuplicateKeyError):
-            table.update(0, {"vid": 1})
-
-
-class TestFilterProjectSort:
-    def test_filter_returns_matching_rows(self):
-        table = make_table([row(i, duration=float(i)) for i in range(6)])
-        subset = table.filter(col("duration") >= 3.0)
-        assert [r["vid"] for r in subset.rows()] == [3, 4, 5]
-
-    def test_filter_empty_table(self):
-        table = make_table()
-        assert len(table.filter(col("vid") == 0)) == 0
-
-    def test_filter_preserves_key_lookup(self):
-        table = make_table([row(i) for i in range(4)])
-        subset = table.filter(col("vid") > 1)
-        assert subset.get_by_key(3)["vid"] == 3
-
-    def test_filter_indices(self):
-        table = make_table([row(i, label="a" if i % 2 else "b") for i in range(4)])
-        indices = table.filter_indices(col("label") == "a")
-        assert list(indices) == [1, 3]
-
-    def test_take_orders_rows(self):
-        table = make_table([row(i) for i in range(4)])
-        taken = table.take([2, 0])
-        assert [r["vid"] for r in taken.rows()] == [2, 0]
-
-    def test_project_restricts_columns(self):
-        table = make_table([row(0)])
-        projected = table.project(["vid", "label"])
-        assert projected.column_names == ["vid", "label"]
-        assert projected.row(0) == {"vid": 0, "label": "a"}
-
-    def test_project_unknown_column(self):
-        table = make_table([row(0)])
-        with pytest.raises(SchemaError):
-            table.project(["vid", "missing"])
-
-    def test_project_drops_primary_key_when_not_selected(self):
-        table = make_table([row(0)])
-        projected = table.project(["label"])
-        assert projected.primary_key is None
-
-    def test_sort_by_ascending_and_descending(self):
-        table = make_table([row(0, duration=3.0), row(1, duration=1.0), row(2, duration=2.0)])
-        ascending = table.sort_by("duration")
-        descending = table.sort_by("duration", descending=True)
-        assert [r["vid"] for r in ascending.rows()] == [1, 2, 0]
-        assert [r["vid"] for r in descending.rows()] == [0, 2, 1]
-
-
-class TestAggregation:
-    def test_count_by(self):
-        table = make_table([row(0, label="a"), row(1, label="b"), row(2, label="a")])
-        assert table.count_by("label") == {"a": 2, "b": 1}
-
-    def test_distinct_preserves_first_seen_order(self):
-        table = make_table([row(0, label="b"), row(1, label="a"), row(2, label="b")])
-        assert table.distinct("label") == ["b", "a"]
-
-    def test_to_records(self):
-        table = make_table([row(0), row(1)])
-        records = table.to_records()
-        assert len(records) == 2
-        assert records[0]["vid"] == 0
+def load(doc, arrays, prefix="t__"):
+    return load_table(doc, arrays, prefix, "videos", "vid", SCHEMA)
 
 
 def through_npz(arrays):
@@ -206,84 +47,165 @@ def through_npz(arrays):
         return {name: payload[name] for name in payload.files}
 
 
-def snapshot_roundtrip(table, prefix="table__videos__"):
+def restored_videos(count):
+    source = VideoStore()
+    for i in range(count):
+        source.add(f"{i}.mp4", 1.0 + i)
     arrays = {}
-    doc = table.to_arrays(arrays, prefix)
-    return Table.from_arrays(doc, through_npz(arrays), prefix)
+    doc = source.to_arrays(arrays, "table__videos__")
+    restored = VideoStore()
+    restored.from_arrays(doc, through_npz(arrays), "table__videos__")
+    return restored
+
+
+class TestTableConstruction:
+    def test_empty_schema_rejected(self):
+        doc, arrays = stage([Row()])
+        with pytest.raises(CheckpointError):
+            load({**doc, "schema": {}}, arrays)
+
+    def test_primary_key_must_be_column(self):
+        doc, arrays = stage([Row()])
+        for key in ("duration", "missing"):
+            with pytest.raises(CheckpointError):
+                load({**doc, "primary_key": key}, arrays)
+
+    def test_schema_exposed(self):
+        assert VideoStore().to_arrays({}, "v__")["schema"] == {
+            "vid": "int",
+            "path": "str",
+            "duration": "float",
+            "start_time": "float",
+            "fps": "float",
+        }
+        doc = LabelStore().to_arrays({}, "l__")
+        assert (doc["primary_key"], list(doc["schema"])) == (
+            "label_id",
+            ["label_id", "vid", "start", "end", "label"],
+        )
+
+
+class TestInsert:
+    def test_insert_returns_incrementing_index(self):
+        # The id column is each record's position, whatever the record says.
+        doc, arrays = stage([Row(vid=7), Row(vid=7), Row(vid=3)])
+        assert arrays["t__vid"].tolist() == [0, 1, 2]
+        assert [row[0] for row in load(doc, arrays)] == [0, 1, 2]
+
+    def test_missing_column_rejected(self):
+        doc, arrays = stage([Row()])
+        del arrays["t__label"]
+        with pytest.raises(CheckpointError):
+            load(doc, arrays)
+
+    def test_extra_column_rejected(self):
+        doc, arrays = stage([Row()])
+        arrays["t__extra"] = np.array([1])
+        with pytest.raises(CheckpointError):
+            load({**doc, "schema": {**SCHEMA, "extra": "int"}}, arrays)
+
+    def test_duplicate_primary_key_rejected(self):
+        doc, arrays = stage([Row(), Row()])
+        with pytest.raises(CheckpointError):
+            load(doc, {**arrays, "t__vid": np.array([0, 0])})
+
+    def test_insert_many(self):
+        doc, arrays = stage([Row(duration=float(i)) for i in range(5)])
+        assert doc["row_count"] == 5
+        assert all(len(array) == 5 for array in arrays.values())
+
+    def test_contains_uses_primary_key(self):
+        restored = restored_videos(3)
+        assert all(vid in restored for vid in range(3))
+        assert 3 not in restored
+
+
+class TestReads:
+    def test_row_roundtrip(self):
+        doc, arrays = stage([Row(3.5, "walk")])
+        ((vid, duration, label),) = load(doc, through_npz(arrays))
+        assert (vid, duration, label) == (0, 3.5, "walk")
+        assert [type(value) for value in (vid, duration, label)] == [int, float, str]
+
+    def test_rows_iterates_all(self):
+        doc, arrays = stage([Row(label=name) for name in "abcd"])
+        assert [row[2] for row in load(doc, arrays)] == ["a", "b", "c", "d"]
+
+    def test_get_by_key(self):
+        restored = restored_videos(4)
+        assert restored.get(2) == VideoRecord(vid=2, path="2.mp4", duration=3.0)
+
+    def test_get_by_missing_key(self):
+        restored = restored_videos(2)
+        with pytest.raises(UnknownVideoError):
+            restored.get(2)
+
+    def test_column_returns_values(self):
+        _, arrays = stage([Row(label="a"), Row(label="b")])
+        assert arrays["t__label"].tolist() == ["a", "b"]
 
 
 class TestTableSnapshotCodec:
     def test_roundtrip_preserves_rows_and_schema(self):
-        table = make_table(
-            [row(0, 10.5, "walk", True), row(7, 3.25, "eat", False), row(3, 0.0, "", True)]
-        )
-        restored = snapshot_roundtrip(table)
-        assert restored.name == "videos"
-        assert restored.schema == SCHEMA
-        assert restored.primary_key == "vid"
-        assert restored.to_records() == table.to_records()
-        for record in restored.to_records():
-            assert type(record["vid"]) is int
-            assert type(record["duration"]) is float
-            assert type(record["label"]) is str
-            assert type(record["active"]) is bool
+        records = [Row(10.5, "walk"), Row(3.25, "eat"), Row(0.0, "")]
+        doc, arrays = stage(records)
+        assert doc["schema"] == SCHEMA
+        rows = load(doc, through_npz(arrays))
+        assert rows == [(0, 10.5, "walk"), (1, 3.25, "eat"), (2, 0.0, "")]
 
     def test_stages_one_array_per_column_under_prefix(self):
-        arrays = {}
-        doc = make_table([row(0), row(1)]).to_arrays(arrays, "t__")
-        assert list(arrays) == ["t__vid", "t__duration", "t__label", "t__active"]
-        assert doc == {
-            "name": "videos",
-            "primary_key": "vid",
-            "schema": SCHEMA,
-            "row_count": 2,
-        }
+        doc, arrays = stage([Row(), Row()], prefix="x__")
+        assert list(arrays) == ["x__vid", "x__duration", "x__label"]
+        assert doc == {"name": "videos", "primary_key": "vid", "schema": SCHEMA, "row_count": 2}
 
     def test_roundtrip_empty_table(self):
-        table = Table("empty", {"a": "int"}, primary_key="a")
-        restored = snapshot_roundtrip(table, "table__empty__")
-        assert len(restored) == 0
-        assert restored.schema == {"a": "int"}
-        assert restored.primary_key == "a"
+        doc, arrays = stage([])
+        assert doc["row_count"] == 0
+        assert load(doc, through_npz(arrays)) == []
 
     def test_primary_key_still_enforced_after_restore(self):
-        restored = snapshot_roundtrip(make_table([row(0), row(1)]))
-        assert 1 in restored
-        assert restored.get_by_key(1)["vid"] == 1
-        with pytest.raises(DuplicateKeyError):
-            restored.insert(row(1))
+        doc, arrays = stage([Row(), Row(), Row()])
+        with pytest.raises(CheckpointError):
+            load(doc, {**arrays, "t__vid": np.array([1, 0, 2])})
 
     def test_restored_table_accepts_new_inserts(self):
-        restored = snapshot_roundtrip(make_table([row(0), row(1)]))
-        restored.insert(row(2, label="rest"))
-        assert len(restored) == 3
-        assert restored.get_by_key(2)["label"] == "rest"
+        source = LabelStore()
+        source.add_many([Label(0, 0.0, 1.0, "walk"), Label(1, 1.0, 2.0, "eat")])
+        arrays = {}
+        doc = source.to_arrays(arrays, "table__labels__")
+        restored = LabelStore()
+        restored.from_arrays(doc, through_npz(arrays), "table__labels__")
+        assert restored.add(Label(2, 0.0, 1.0, "rest")) == 2
+        assert restored.class_counts() == {"walk": 1, "eat": 1, "rest": 1}
 
-    def test_table_without_primary_key(self):
-        table = Table("log", {"x": "float", "tag": "str"})
-        table.insert_many([{"x": 1.5, "tag": "a"}, {"x": 1.5, "tag": "a"}])
-        restored = snapshot_roundtrip(table, "log__")
-        assert restored.primary_key is None
-        assert restored.to_records() == table.to_records()
+
+class TestCorruptTable:
+    @pytest.mark.parametrize("count", [-1, True, "1", None, 1.0], ids=repr)
+    def test_invalid_row_count_rejected(self, count):
+        doc, arrays = stage([Row()])
+        with pytest.raises(CheckpointError):
+            load({**doc, "row_count": count}, arrays)
+
+    @pytest.mark.parametrize(
+        "column, values",
+        [("vid", np.array([0.0])), ("duration", np.array(["1.0"])), ("label", np.array([1]))],
+        ids=["int-as-float", "float-as-str", "str-as-int"],
+    )
+    def test_wrongly_typed_column_rejected(self, column, values):
+        doc, arrays = stage([Row()])
+        with pytest.raises(CheckpointError):
+            load(doc, {**arrays, "t__" + column: values})
+
+    def test_two_dimensional_column_rejected(self):
+        doc, arrays = stage([Row()])
+        with pytest.raises(CheckpointError):
+            load(doc, {**arrays, "t__duration": np.array([[1.0]])})
 
 
 class TestTableProperties:
-    @given(st.lists(st.integers(min_value=0, max_value=10_000), unique=True, max_size=50))
-    def test_primary_key_lookup_consistent(self, vids):
-        table = make_table([row(v) for v in vids])
-        for vid in vids:
-            assert table.get_by_key(vid)["vid"] == vid
-
-    @given(
-        st.lists(
-            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-            min_size=1,
-            max_size=50,
-        ),
-        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-    )
-    def test_filter_partition(self, durations, threshold):
-        table = make_table([row(i, duration=d) for i, d in enumerate(durations)])
-        below = table.filter(col("duration") < threshold)
-        at_or_above = table.filter(col("duration") >= threshold)
-        assert len(below) + len(at_or_above) == len(table)
+    @given(st.integers(min_value=0, max_value=50))
+    def test_primary_key_lookup_consistent(self, count):
+        restored = restored_videos(count)
+        for vid in range(count):
+            assert restored.get(vid).vid == vid
+        assert restored.add("next.mp4", 1.0).vid == count
